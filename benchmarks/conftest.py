@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures,
 asserts its shape properties, and writes the regenerated artifact to
 ``benchmarks/results/`` so the paper-vs-measured comparison survives the
-run (see EXPERIMENTS.md).
+run (see "Regenerating the paper figures" in README.md for the
+figure-to-benchmark map).
 """
 
 from __future__ import annotations

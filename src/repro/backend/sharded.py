@@ -27,7 +27,10 @@ policies:
   micro-batches; the schedule's fill/drain bubbles are charged
   explicitly (``ShardCost.fill_drain_cycles``) and only the
   stage-boundary activations cross arrays — so it keeps scaling where
-  the layer policy's per-layer all-gather collapses.
+  the layer policy's per-layer all-gather collapses.  That streaming
+  is the *modelled* schedule: the host runs the numerics once, as one
+  pass of the shared array datapath, and prices the micro-batch plan
+  from the memoised cycle oracle without executing it chunk by chunk.
 
 All policies are **bitwise-equal** to the single-array path when
 ``quantized=True`` (the default): every sample's and every output
@@ -37,7 +40,8 @@ per-element sum — and the re-quantisation between layers is
 elementwise, so it commutes with the concatenation that merges shard
 outputs.  (``quantized=False`` float numerics agree only to round-off
 under sample sharding, because BLAS may re-associate sums for
-different batch shapes.)
+different batch shapes; the pipeline policy serves one whole-batch
+forward, so its float output is bitwise the single array's too.)
 
 Costs come back as a :class:`~repro.backend.base.ShardCost`:
 ``layer_cycles`` stay *work* (summed over arrays — note each array
@@ -56,6 +60,7 @@ is exactly the legacy one-cycle-per-element model, while ``ring`` and
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,8 +292,9 @@ class ShardedBackend(ExecutionBackend):
     shards:
         Number of arrays K (>= 1).
     shard:
-        ``"sample"`` (split the batch) or ``"layer"`` (split conv
-        filters / FC output neurons).
+        One of :data:`SHARD_POLICIES`: ``"sample"`` (split the batch),
+        ``"layer"`` (split conv filters / FC output neurons) or
+        ``"pipeline"`` (partition the layers into stages).
     config / fidelity / quantized / weight_format / activation_format:
         Passed through to every child :class:`SystolicBackend` — each
         array runs the same datapath the single-array backend models.
@@ -300,10 +306,11 @@ class ShardedBackend(ExecutionBackend):
         ``"ring"`` / ``"mesh"`` charge real hop counts over 128-bit
         links at the quantised word width.
     pipeline_chunk:
-        Micro-batch rows per pipeline stage hand-off (pipeline policy
-        only).  ``None`` picks ``max(1, batch // (8 * K))`` — about 8
-        chunks per array, enough overlap to amortise fill/drain
-        without drowning in per-chunk filter reloads.
+        Micro-batch rows per pipeline stage hand-off in the modelled
+        schedule (pipeline policy only; the numerics run once).
+        ``None`` picks ``max(1, batch // (8 * K))`` — about 8 chunks
+        per array, enough overlap to amortise fill/drain without
+        drowning in per-chunk filter reloads.
     workers:
         Host process-pool size for sample-policy child forwards
         (``"auto"`` = one per CPU, capped at K).  ``1`` (default) is
@@ -638,7 +645,7 @@ class ShardedBackend(ExecutionBackend):
         if self.shard == "layer":
             return self._train_cost_layer(batch_size, state_shape, first_trainable)
         if self.shard == "pipeline":
-            return self._train_cost_pipeline(
+            return self._price_pipeline(
                 batch_size, state_shape, first_trainable, alive
             )
         return self._train_cost_sample(
@@ -819,110 +826,6 @@ class ShardedBackend(ExecutionBackend):
             critical_path_cycles=critical, merge_cycles=merge,
             critical_shard_index=_argmax(shard_cycles),
             merge_hops=merge_hops, noc=self.noc,
-        )
-
-    def _train_cost_pipeline(
-        self,
-        batch_size: int,
-        state_shape: tuple[int, ...],
-        first_trainable: int,
-        alive: list[int],
-    ) -> ShardCost:
-        """Pipelined training: micro-batches stream through the stages.
-
-        Each stage's per-chunk time is its layers' forward + backward
-        GEMM cycles from the closed-form oracle; the same chunked
-        schedule as inference yields the makespan, per-array busy
-        cycles and fill/drain bubbles.  Stage-boundary activations
-        cross the NoC once forward and — while a trainable layer sits
-        below the boundary — once more backward as the dX gradient;
-        replicated (width > 1) stages additionally all-reduce their
-        local weight gradients within the stage.
-        """
-        from repro.systolic.training import network_training_step_cost
-
-        state_shape = tuple(int(v) for v in state_shape)
-        chunk_rows = self._resolve_pipeline_chunk(batch_size, len(alive))
-        num_chunks = max(1, -(-batch_size // chunk_rows))
-        plan = self._pipeline_plan(
-            tuple(alive), state_shape, chunk_rows, num_chunks
-        )
-        sizes = [
-            len(chunk)
-            for chunk in np.array_split(np.arange(batch_size), num_chunks)
-            if len(chunk) > 0  # zero-row chunks never enter the schedule
-        ]
-        num_chunks = len(sizes)
-        steps = {
-            size: network_training_step_cost(
-                self.network, state_shape, size,
-                config=self.config, first_trainable=first_trainable,
-            )
-            for size in set(sizes)
-        }
-        stages = plan.stages
-        times = [[0] * num_chunks for _ in range(stages)]
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        for m, size in enumerate(sizes):
-            step = steps[size]
-            macs += step.total_macs
-            for s in range(stages):
-                lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
-                times[s][m] = sum(
-                    cost.total_cycles for cost in step.layers[lo:hi]
-                )
-            for cost in step.layers:
-                layer_cycles[cost.name] = (
-                    layer_cycles.get(cost.name, 0) + cost.total_cycles
-                )
-        critical_compute, busy, assign = _pipeline_schedule(
-            times, plan.widths
-        )
-        shard_cycles = [0] * self.shards
-        for s, arrays in enumerate(plan.stage_arrays):
-            for a, orig in enumerate(arrays):
-                shard_cycles[orig] = busy[s][a]
-        merge = 0
-        merge_hops = 0
-        boundary_rows = _parametric_input_elements(self.network, state_shape)
-        param_indices = [i for i, _l in self.network.parametric_layers()]
-        ref_layers = steps[sizes[0]].layers
-        for s in range(1, stages):
-            first_param = plan.param_bounds[s]
-            rows = boundary_rows[first_param]
-            # Gradient crosses back over this boundary iff a trainable
-            # parametric layer sits below it (backprop reaches it).
-            grad_crosses = param_indices[first_param - 1] >= first_trainable
-            for m in range(num_chunks):
-                src = plan.stage_arrays[s - 1][assign[s - 1][m]]
-                dst = plan.stage_arrays[s][assign[s][m]]
-                elements = sizes[m] * rows * (2 if grad_crosses else 1)
-                cycles, hops = self._ship(elements, src, dst)
-                merge += cycles
-                merge_hops += hops
-        for s, arrays in enumerate(plan.stage_arrays):
-            if len(arrays) <= 1:
-                continue
-            # Replicated stage: each replica trained on its own chunks,
-            # so the stage's weight gradients all-reduce to its first
-            # array before the update applies.
-            lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
-            stage_grad = sum(cost.weight_elements for cost in ref_layers[lo:hi])
-            for orig in arrays[1:]:
-                cycles, hops = self._ship(stage_grad, orig, arrays[0])
-                merge += cycles
-                merge_hops += hops
-        fill_drain = critical_compute - max(shard_cycles)
-        critical = critical_compute + merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, fill_drain_cycles=fill_drain,
-            noc=self.noc,
         )
 
     def _requantize(self, x: np.ndarray) -> np.ndarray:
@@ -1199,118 +1102,157 @@ class ShardedBackend(ExecutionBackend):
         return plan
 
     def _forward_pipeline(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """The batch streams through layer stages in micro-batches.
+        """One executor pass for the numerics, then the priced schedule.
 
-        Stages own contiguous layer ranges (plan from the cycle
-        oracle); each micro-batch runs the stages in order on the
-        stage's earliest-free array, so consecutive chunks overlap
-        across stages.  Compute is bitwise the single-array datapath —
-        chunking the batch and the elementwise re-quantisation after
-        every layer both commute with concatenation — while the *cost*
-        records the pipeline schedule: per-array busy cycles, the
-        fill/drain bubbles the schedule cannot hide
-        (``fill_drain_cycles``) and NoC transfer cycles for every
-        stage-boundary hand-off plus the final Q gather.
+        Every stage array holds a byte-identical weight copy, so the
+        shared child runs the whole batch once: exact-integer
+        arithmetic and the elementwise re-quantisation after every
+        layer make that bitwise what streaming each micro-batch through
+        each stage would compute.  Micro-batch streaming is the
+        *modelled* schedule — :meth:`_price_pipeline` charges it from
+        the cycle oracle: per-array busy cycles, the fill/drain bubbles
+        the schedule cannot hide (``fill_drain_cycles``) and NoC
+        transfer cycles for every stage-boundary hand-off plus the
+        final Q gather.  The ``shard.forward`` span times the one host
+        pass and carries the critical-path cycles; per-array cycles
+        stay in ``ShardCost.shard_cycles``.
         """
-        n = x.shape[0]
         active = self._active_shards()
         if not active:
             return self._forward_degraded(x)
-        chunk_rows = self._resolve_pipeline_chunk(n, len(active))
-        num_chunks = max(1, -(-n // chunk_rows))
-        plan = self._pipeline_plan(
-            tuple(active), x.shape[1:], chunk_rows, num_chunks
+        start = time.perf_counter_ns()
+        q_values, _ = self.children[0].forward_batch(x)
+        wall_ns = time.perf_counter_ns() - start
+        cost = self._price_pipeline(
+            x.shape[0], x.shape[1:], len(self.network.layers), active,
+            q_width=int(np.prod(q_values.shape[1:])), chaos=FAULTS.enabled,
         )
-        chunks = [
-            chunk for chunk in np.array_split(x, num_chunks)
-            if chunk.shape[0] > 0  # zero-row chunks never dispatch
-        ]
-        num_chunks = len(chunks)
-        stages = plan.stages
-        times = [[0] * num_chunks for _ in range(stages)]
-        walls = [[0] * num_chunks for _ in range(stages)]
-        boundary_sizes = [[0] * num_chunks for _ in range(stages)]
+        PROBE.record_span(
+            "shard.forward", wall_ns, cycles=cost.critical_path_cycles,
+            states=x.shape[0],
+        )
+        return q_values, cost
+
+    def _price_pipeline(
+        self,
+        batch_size: int,
+        state_shape: tuple[int, ...],
+        first_trainable: int,
+        alive: list[int],
+        q_width: int = 0,
+        chaos: bool = False,
+    ) -> ShardCost:
+        """Price micro-batches streaming through the stages — no numerics.
+
+        Shared by inference (``first_trainable == len(network.layers)``:
+        forward cycles only) and training.  Each stage's per-chunk time
+        is its layers' forward (+ backward) GEMM cycles from the
+        memoised closed-form oracle at that chunk's rows; the chunked
+        schedule yields the makespan, per-array busy cycles and
+        fill/drain bubbles.  Stage-boundary activations cross the NoC
+        once forward and — while a trainable layer sits below the
+        boundary — once more backward as the dX gradient; replicated
+        (width > 1) stages all-reduce their trainable weight gradients
+        within the stage (nothing when every layer is frozen).
+        ``q_width`` > 0 gathers that many Q values per row from the
+        last stage's replicas to its first array; ``chaos`` charges the
+        FAULTS transient/straggler extras.
+        """
+        from repro.systolic.training import network_training_step_cost
+
+        state_shape = tuple(int(v) for v in state_shape)
+        chunk_rows = self._resolve_pipeline_chunk(batch_size, len(alive))
+        num_chunks = max(1, -(-batch_size // chunk_rows))
+        plan = self._pipeline_plan(
+            tuple(alive), state_shape, chunk_rows, num_chunks
+        )
+        # numpy.array_split row counts; zero-row chunks never enter the
+        # schedule.
+        base, longer = divmod(batch_size, num_chunks)
+        sizes = [base + 1] * longer + [base] * (num_chunks - longer if base else 0)
+        num_chunks = len(sizes)
+        # Chunks of one size cost the same: price each distinct size once.
         layer_cycles: dict[str, int] = {}
         macs = 0
-        outputs = []
-        pe_sim = (
-            FunctionalSystolicArray(self.config, fidelity="pe")
-            if self.fidelity == "pe"
-            else None
+        stage_times: dict[int, list[int]] = {}
+        for size, count in Counter(sizes).items():
+            step = network_training_step_cost(
+                self.network, state_shape, size,
+                config=self.config, first_trainable=first_trainable,
+            )
+            macs += count * step.total_macs
+            stage_times[size] = [
+                sum(cost.total_cycles for cost in step.layers[lo:hi])
+                for lo, hi in zip(plan.param_bounds, plan.param_bounds[1:])
+            ]
+            for cost in step.layers:
+                layer_cycles[cost.name] = (
+                    layer_cycles.get(cost.name, 0) + count * cost.total_cycles
+                )
+        stages = plan.stages
+        times = [[stage_times[size][s] for size in sizes] for s in range(stages)]
+        critical_compute, busy, assign = _pipeline_schedule(
+            times, plan.widths
         )
-        child = self.children[0]
-        for m, chunk in enumerate(chunks):
-            h = self._requantize(chunk)
-            for s, (lo, hi) in enumerate(plan.layer_ranges):
-                if s > 0:
-                    boundary_sizes[s][m] = h.size
-                start = time.perf_counter_ns()
-                stage_cycles = 0
-                for index in range(lo, hi):
-                    layer = self.network.layers[index]
-                    if isinstance(layer, (Conv2D, Dense)):
-                        h, cycles, macs_m = child.forward_layer(layer, h, pe_sim)
-                        stage_cycles += cycles
-                        macs += macs_m
-                        layer_cycles[layer.name] = (
-                            layer_cycles.get(layer.name, 0) + cycles
-                        )
-                    else:
-                        h = layer.forward(h, training=False)
-                    h = self._requantize(h)
-                times[s][m] = stage_cycles
-                walls[s][m] = time.perf_counter_ns() - start
-            outputs.append(h)
-        q_values = np.concatenate(outputs, axis=0)
-        critical_compute, busy, assign = _pipeline_schedule(times, plan.widths)
         shard_cycles = [0] * self.shards
         for s, arrays in enumerate(plan.stage_arrays):
             for a, orig in enumerate(arrays):
                 shard_cycles[orig] = busy[s][a]
-        for s in range(stages):
-            for m in range(num_chunks):
-                PROBE.record_span(
-                    "shard.forward", walls[s][m], cycles=times[s][m],
-                    shard=plan.stage_arrays[s][assign[s][m]],
-                    stage=s, states=chunks[m].shape[0],
-                )
-        # Stage hand-offs: chunk m leaves stage s-1's serving array for
-        # stage s's, paying the NoC for the boundary activation; the
-        # last stage's non-hub arrays then gather their Q rows.
         merge = 0
         merge_hops = 0
+
+        def ship(elements: int, src: int, dst: int) -> None:
+            nonlocal merge, merge_hops
+            cycles, hops = self._ship(elements, src, dst)
+            merge += cycles
+            merge_hops += hops
+
+        # Stage hand-offs: chunk m leaves stage s-1's serving array for
+        # stage s's, carrying the boundary activation.
+        boundary_rows = _parametric_input_elements(self.network, state_shape)
+        param_indices = [i for i, _l in self.network.parametric_layers()]
         for s in range(1, stages):
+            first_param = plan.param_bounds[s]
+            rows = boundary_rows[first_param]
+            # Gradient crosses back over this boundary iff a trainable
+            # parametric layer sits below it (backprop reaches it).
+            grad_crosses = param_indices[first_param - 1] >= first_trainable
             for m in range(num_chunks):
-                cycles, hops = self._ship(
-                    boundary_sizes[s][m],
+                ship(
+                    sizes[m] * rows * (2 if grad_crosses else 1),
                     plan.stage_arrays[s - 1][assign[s - 1][m]],
                     plan.stage_arrays[s][assign[s][m]],
                 )
-                merge += cycles
-                merge_hops += hops
-        q_hub = plan.stage_arrays[-1][0]
-        for m, out in enumerate(outputs):
-            src = plan.stage_arrays[-1][assign[-1][m]]
-            if src != q_hub:
-                cycles, hops = self._ship(out.size, src, q_hub)
-                merge += cycles
-                merge_hops += hops
-        if FAULTS.enabled:
+        if q_width:
+            q_hub = plan.stage_arrays[-1][0]
+            for m in range(num_chunks):
+                src = plan.stage_arrays[-1][assign[-1][m]]
+                if src != q_hub:
+                    ship(sizes[m] * q_width, src, q_hub)
+        for s, arrays in enumerate(plan.stage_arrays):
+            # Replicated stage: each replica trained on its own chunks,
+            # so the stage's weight gradients all-reduce to its first
+            # array before the update applies (weight counts do not
+            # depend on the chunk size, so any priced step serves).
+            lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
+            stage_grad = sum(cost.weight_elements for cost in step.layers[lo:hi])
+            for orig in arrays[1:]:
+                ship(stage_grad, orig, arrays[0])
+        if chaos:
             # Transient retries and stragglers stretch an array's busy
             # time; charged conservatively to the makespan (every chunk
             # behind the slow array waits).
-            for orig in active:
-                if shard_cycles[orig] == 0:
-                    continue
-                extra = self._chaos_extra(orig, shard_cycles[orig])
-                shard_cycles[orig] += extra
-                critical_compute += extra
+            for orig in alive:
+                if shard_cycles[orig]:
+                    extra = self._chaos_extra(orig, shard_cycles[orig])
+                    shard_cycles[orig] += extra
+                    critical_compute += extra
         fill_drain = critical_compute - max(shard_cycles)
-        critical = critical_compute + merge
-        return q_values, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
+        return ShardCost(
+            backend=self.name, states=batch_size, macs=macs,
+            layer_cycles=layer_cycles, shards=self.shards,
+            shard_cycles=tuple(shard_cycles),
+            critical_path_cycles=critical_compute + merge, merge_cycles=merge,
             critical_shard_index=_argmax(shard_cycles),
             merge_hops=merge_hops, fill_drain_cycles=fill_drain,
             noc=self.noc,

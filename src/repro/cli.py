@@ -46,8 +46,9 @@ execution backend action selection routes through (:mod:`repro.backend`):
 datapath, ``systolic`` the accelerator-in-the-loop path whose
 rollouts carry per-step array-cycle budgets into the report and the
 platform projection, and ``sharded`` composes K systolic arrays
-(``--shards K``, ``--shard-policy {sample,layer}``) and additionally
-reports critical-path cycles, scaling efficiency and pipeline overlap.
+(``--shards K``, ``--shard-policy {sample,layer,pipeline}``) and
+additionally reports critical-path cycles, scaling efficiency and
+pipeline overlap.
 ``--sync-every N`` sets the weight-bus flip cadence — the deployed
 datapath refreshes its quantised snapshot every N training updates
 instead of after every one, and the report carries the measured
@@ -457,6 +458,11 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
     from repro.backend import SystolicBackend
 
     network = agent.network
+    # Each feasibility verdict names the model it comes from: the
+    # platform line projects onto the paper-scale analytic AlexNet
+    # model, the array lines onto the cycles this run's network charged.
+    analytic = "[paper-scale AlexNet, analytic model]"
+    measured = f"[{network.name}, measured]"
     print()
     print(
         f"fleet of {report.num_envs} envs @ {report.steps_per_second:.1f} "
@@ -467,7 +473,7 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         f"platform ({projection.config_name}): {projection.accelerator_fps:.2f} "
         f"iterations/s sustainable, utilization {projection.utilization:.2f} "
         f"({'feasible' if projection.realtime_feasible else 'OVERLOADED'}), "
-        f"{projection.energy_watts:.2f} W"
+        f"{projection.energy_watts:.2f} W {analytic}"
     )
     print(
         f"NVM write load {projection.nvm_write_bits_per_second / 1e6:.2f} Mbit/s"
@@ -480,7 +486,8 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
             f"-> array sustains "
             f"{projection.inference_sustainable_steps_per_second:.0f} steps/s, "
             f"inference utilization {projection.inference_utilization:.4f} "
-            f"({'feasible' if projection.inference_realtime_feasible else 'OVERLOADED'})"
+            f"({'feasible' if projection.inference_realtime_feasible else 'OVERLOADED'}) "
+            f"{measured}"
         )
     elif args.backend == "numpy":
         # Float rollouts carry no budget: cost the current observation
@@ -501,7 +508,8 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
             f"{projection.training_sustainable_updates_per_second:.1f} updates/s; "
             f"combined rollout+train utilization "
             f"{projection.combined_array_utilization:.4f} "
-            f"({'feasible' if projection.combined_realtime_feasible else 'OVERLOADED'})"
+            f"({'feasible' if projection.combined_realtime_feasible else 'OVERLOADED'}) "
+            f"{measured}"
         )
     if report.shards > 1:
         print(
@@ -541,7 +549,8 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
                 f"{report.training_critical_path_cycles_per_update / 1e3:.1f} "
                 f"kcycles/update -> combined utilization "
                 f"{projection.sharded_combined_utilization:.4f} "
-                f"({'feasible' if projection.sharded_combined_utilization <= 1.0 else 'OVERLOADED'})"
+                f"({'feasible' if projection.sharded_combined_utilization <= 1.0 else 'OVERLOADED'}) "
+                f"{measured}"
             )
     if report.total_inference_cycles > 0 or (
         args.sync_every > 1 and agent.backend.has_snapshot

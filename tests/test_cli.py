@@ -174,6 +174,11 @@ class TestCommands:
         assert "training on array:" in out
         assert "kcycles/update measured" in out
         assert "combined rollout+train utilization" in out
+        # Every feasibility verdict names the model behind it.
+        for line in out.splitlines():
+            if "feasible" in line or "OVERLOADED" in line:
+                assert "analytic model]" in line or ", measured]" in line, line
+        assert "[paper-scale AlexNet, analytic model]" in out
 
     def test_train_on_array_flag_parses(self):
         args = build_parser().parse_args(["fleet", "--train-on-array"])

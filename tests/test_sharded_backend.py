@@ -534,6 +534,210 @@ class TestPipelineSchedule:
             assert hi == nlo > lo
 
 
+def reference_pipeline_forward(backend, states):
+    """The pipeline forward as it used to execute, kept as an oracle.
+
+    Every micro-batch runs through every stage on the host with
+    ``forward_layer`` and a re-quantise after each layer, and the cost
+    is assembled from the cycles that execution measured.  The backend
+    now runs the numerics once and prices this schedule from the cycle
+    oracle; both must agree bit for bit.
+    """
+    from repro.backend.sharded import _argmax, _pipeline_schedule
+    from repro.faults.injector import FAULTS
+
+    x = np.asarray(states, dtype=np.float64)
+    if FAULTS.enabled:
+        backend._chaos_forward = FAULTS.injector.note_forward()
+    n = x.shape[0]
+    active = backend._active_shards()
+    chunk_rows = backend._resolve_pipeline_chunk(n, len(active))
+    num_chunks = max(1, -(-n // chunk_rows))
+    plan = backend._pipeline_plan(
+        tuple(active), x.shape[1:], chunk_rows, num_chunks
+    )
+    chunks = [c for c in np.array_split(x, num_chunks) if c.shape[0] > 0]
+    num_chunks = len(chunks)
+    times = [[0] * num_chunks for _ in range(plan.stages)]
+    boundary = [[0] * num_chunks for _ in range(plan.stages)]
+    layer_cycles: dict[str, int] = {}
+    macs = 0
+    outputs = []
+    child = backend.children[0]
+    for m, chunk in enumerate(chunks):
+        h = backend._requantize(chunk)
+        for s, (lo, hi) in enumerate(plan.layer_ranges):
+            if s > 0:
+                boundary[s][m] = h.size
+            for layer in backend.network.layers[lo:hi]:
+                if isinstance(layer, (Conv2D, Dense)):
+                    h, cycles, macs_m = child.forward_layer(layer, h)
+                    times[s][m] += cycles
+                    macs += macs_m
+                    layer_cycles[layer.name] = (
+                        layer_cycles.get(layer.name, 0) + cycles
+                    )
+                else:
+                    h = layer.forward(h, training=False)
+                h = backend._requantize(h)
+        outputs.append(h)
+    critical, busy, assign = _pipeline_schedule(times, plan.widths)
+    shard_cycles = [0] * backend.shards
+    for s, arrays in enumerate(plan.stage_arrays):
+        for a, orig in enumerate(arrays):
+            shard_cycles[orig] = busy[s][a]
+    merge = hops = 0
+    transfers = [
+        (
+            boundary[s][m],
+            plan.stage_arrays[s - 1][assign[s - 1][m]],
+            plan.stage_arrays[s][assign[s][m]],
+        )
+        for s in range(1, plan.stages)
+        for m in range(num_chunks)
+    ]
+    q_hub = plan.stage_arrays[-1][0]
+    transfers += [
+        (out.size, plan.stage_arrays[-1][assign[-1][m]], q_hub)
+        for m, out in enumerate(outputs)
+    ]
+    for elements, src, dst in transfers:
+        merge_m, hops_m = backend._ship(elements, src, dst)
+        merge += merge_m
+        hops += hops_m
+    if FAULTS.enabled:
+        for orig in active:
+            if shard_cycles[orig]:
+                extra = backend._chaos_extra(orig, shard_cycles[orig])
+                shard_cycles[orig] += extra
+                critical += extra
+    return np.concatenate(outputs, axis=0), ShardCost(
+        backend=backend.name, states=n, macs=macs, layer_cycles=layer_cycles,
+        shards=backend.shards, shard_cycles=tuple(shard_cycles),
+        critical_path_cycles=critical + merge, merge_cycles=merge,
+        critical_shard_index=_argmax(shard_cycles), merge_hops=hops,
+        fill_drain_cycles=critical - max(shard_cycles), noc=backend.noc,
+    )
+
+
+def assert_same_cost(cost, ref):
+    import dataclasses
+
+    for field in dataclasses.fields(ShardCost):
+        assert getattr(cost, field.name) == getattr(ref, field.name), field.name
+
+
+class TestPipelinePricingMatchesExecution:
+    """The priced pipeline schedule equals the executed one."""
+
+    @pytest.mark.parametrize("noc", ["flat", "ring", "mesh"])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 8])
+    def test_cost_and_bits_match_chunked_execution(self, shards, noc):
+        net = make_net()
+        backend = ShardedBackend(net, shards=shards, shard="pipeline", noc=noc)
+        for batch in (1, 3, 7, 16, 17, 64):
+            rng = np.random.default_rng(batch * 31 + shards)
+            states = rng.uniform(0, 1, size=(batch, 1, SIDE, SIDE))
+            ref_q, ref = reference_pipeline_forward(backend, states)
+            q, cost = backend.forward_batch(states)
+            assert np.array_equal(q, ref_q), batch
+            assert_same_cost(cost, ref)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 16])
+    def test_explicit_pipeline_chunk(self, chunk, rng):
+        net = make_net()
+        for shards in (2, 4):
+            backend = ShardedBackend(
+                net, shards=shards, shard="pipeline", noc="mesh",
+                pipeline_chunk=chunk,
+            )
+            for batch in (16, 17):
+                states = rng.uniform(0, 1, size=(batch, 1, SIDE, SIDE))
+                ref_q, ref = reference_pipeline_forward(backend, states)
+                q, cost = backend.forward_batch(states)
+                assert np.array_equal(q, ref_q)
+                assert_same_cost(cost, ref)
+
+    def test_crash_failover_replan_and_chaos_extras(self):
+        """A seeded plan kills array 1 mid-run and fires transient and
+        straggler faults: the replanned schedule, the chaos extras and
+        the fault ledger all match the executed reference."""
+        from repro.faults import chaos, parse_fault_spec
+
+        plan = parse_fault_spec("seed=3,crash=1@2,transient=0.4,straggler=0.4")
+        net = make_net()
+        batches = [
+            np.random.default_rng(b).uniform(0, 1, size=(b, 1, SIDE, SIDE))
+            for b in (16, 7, 16, 3)
+        ]
+        runs = []
+        for forward in (reference_pipeline_forward, None):
+            backend = ShardedBackend(net, shards=4, shard="pipeline", noc="mesh")
+            results = []
+            with chaos(plan) as inj:
+                for states in batches:
+                    inj.note_step()
+                    if forward is None:
+                        results.append(backend.forward_batch(states))
+                    else:
+                        results.append(forward(backend, states))
+                runs.append((results, inj.event_log(), sorted(inj.dead_shards)))
+        (ref_results, ref_log, ref_dead), (results, log, dead) = runs
+        assert dead == ref_dead == [1]
+        assert log == ref_log
+        kinds = {event["kind"] for event in log}
+        assert {"shard.crash", "shard.transient", "shard.straggler"} <= kinds
+        for (ref_q, ref), (q, cost) in zip(ref_results, results):
+            assert np.array_equal(q, ref_q)
+            assert_same_cost(cost, ref)
+        # Every forward after the crash replans over arrays 0, 2, 3.
+        assert all(cost.shard_cycles[1] == 0 for _q, cost in results[1:])
+
+    def test_one_shard_forward_span_per_forward(self, rng):
+        """The span times the single executor pass and carries the
+        priced critical path; no per-chunk spans are made up."""
+        from repro.obs import MetricsRegistry, observed
+
+        backend = ShardedBackend(make_net(), shards=4, shard="pipeline")
+        states = rng.uniform(0, 1, size=(16, 1, SIDE, SIDE))
+        with observed(registry=MetricsRegistry()) as (tracer, _):
+            _, cost = backend.forward_batch(states)
+        spans = [s for s in tracer.spans if s.name == "shard.forward"]
+        assert len(spans) == 1
+        assert spans[0].cycles == cost.critical_path_cycles
+        assert spans[0].args["states"] == 16
+
+    def test_float_pipeline_is_bitwise_the_single_array(self, rng):
+        """One whole-batch float forward: no per-chunk BLAS shapes, so
+        the float output is bitwise, not just within round-off."""
+        net = make_net()
+        states = rng.uniform(0, 1, size=(17, 1, SIDE, SIDE))
+        ref_q, _ = SystolicBackend(net, quantized=False).forward_batch(states)
+        for shards in (2, 4):
+            q, _ = ShardedBackend(
+                net, shards=shards, shard="pipeline", quantized=False
+            ).forward_batch(states)
+            assert np.array_equal(q, ref_q), shards
+
+    def test_pe_fidelity_equals_fast(self):
+        rng = np.random.default_rng(5)
+        conv = Conv2D(1, 4, 3, stride=1, name="c", rng=rng)
+        _, oh, ow = conv.output_shape(8, 8)
+        net = Network(
+            [conv, ReLU(), Flatten(), Dense(4 * oh * ow, 6, name="d", rng=rng)],
+            name="tiny",
+        )
+        states = rng.uniform(0, 1, size=(4, 1, 8, 8))
+        fast_q, fast = ShardedBackend(
+            net, shards=2, shard="pipeline", fidelity="fast"
+        ).forward_batch(states)
+        pe_q, pe = ShardedBackend(
+            net, shards=2, shard="pipeline", fidelity="pe"
+        ).forward_batch(states)
+        assert np.array_equal(pe_q, fast_q)
+        assert pe == fast
+
+
 class TestShardEdgeCases:
     def test_zero_row_chunks_after_crash_failover(self):
         """batch=1 over K=4 with one array crashed: the three surviving
