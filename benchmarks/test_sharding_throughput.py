@@ -9,7 +9,8 @@ Two measurements on the fleet-sized observation batch:
   reach the acceptance bound of <= 0.3x single-array cycles at K=4,
   and the pipeline policy must hold >= 0.75 scaling efficiency at
   K=8 — the regime where layer sharding's per-layer all-gather
-  collapses to ~0.59.
+  collapses to ~0.59.  The host wall columns are the median of
+  ``TIMED_CALLS`` steady-state forwards after a full-batch warm-up.
 * **Pipelined fleet** — a short sharded fleet run with an async weight
   bus (``sync_every=4``): measured pipeline overlap fraction, mean
   served snapshot staleness, and the serving agreement sampled
@@ -36,6 +37,8 @@ SIDE = 16
 BATCH = 64
 SHARD_COUNTS = (1, 2, 4, 8)
 SYNC_SWEEP = (1, 4, 16)
+#: Timed forwards per wall-clock column (the median is recorded).
+TIMED_CALLS = 5
 #: Acceptance bound: K=4 sample sharding's critical path vs one array.
 K4_CRITICAL_CEILING = 0.3
 #: Acceptance floor: pipeline scaling efficiency at K=8 (layer
@@ -52,15 +55,28 @@ def _make_fleet(num_envs=4):
     )
 
 
+def _steady_forward(backend, states):
+    """Median wall seconds of ``TIMED_CALLS`` steady-state forwards.
+
+    A full-batch warm-up first fills the cost-oracle memos and the
+    backend's plan cache for this batch shape, so the timed calls pay
+    neither.  Returns ``(seconds, cost)``.
+    """
+    backend.forward_batch(states)
+    times = []
+    for _ in range(TIMED_CALLS):
+        start = time.perf_counter()
+        _, cost = backend.forward_batch(states)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)), cost
+
+
 def _scaling_rows(network, states, single_cycles, single_seconds):
     out = {}
     for policy in ("sample", "layer", "pipeline"):
         for shards in SHARD_COUNTS:
             backend = ShardedBackend(network, shards=shards, shard=policy)
-            backend.forward_batch(states[:2])  # warm caches
-            start = time.perf_counter()
-            _, cost = backend.forward_batch(states)
-            seconds = time.perf_counter() - start
+            seconds, cost = _steady_forward(backend, states)
             # Wall-seconds efficiency rides along with the modelled
             # one: this serial-host measurement is the workers=1
             # baseline the wall-clock scaling benchmark's process pool
@@ -114,11 +130,9 @@ def test_sharding_throughput(benchmark, results_dir):
     probe = rng.uniform(0.0, 1.0, size=(32, 1, SIDE, SIDE))
 
     def run():
-        single = SystolicBackend(network)
-        single.forward_batch(states[:2])
-        start = time.perf_counter()
-        _, single_cost = single.forward_batch(states)
-        single_seconds = time.perf_counter() - start
+        single_seconds, single_cost = _steady_forward(
+            SystolicBackend(network), states
+        )
         scaling = _scaling_rows(
             network, states, single_cost.total_cycles, single_seconds
         )

@@ -1,10 +1,9 @@
 """Multi-array execution backend: K systolic arrays behind one seam.
 
 The ROADMAP's "serves heavy traffic" direction needs more than one
-32x32 array.  :class:`ShardedBackend` composes K child backends
-(default :class:`~repro.backend.systolic_backend.SystolicBackend`s,
-one per simulated array) behind the ordinary
-``forward_batch(states) -> (q_values, cost)`` seam, under two shard
+32x32 array.  :class:`ShardedBackend` models spreading the Q network's
+forward over K arrays, behind the ordinary
+``forward_batch(states) -> (q_values, cost)`` seam, under three shard
 policies:
 
 * ``shard="sample"`` — data parallelism: the observation batch splits
@@ -27,21 +26,24 @@ policies:
   micro-batches; the schedule's fill/drain bubbles are charged
   explicitly (``ShardCost.fill_drain_cycles``) and only the
   stage-boundary activations cross arrays — so it keeps scaling where
-  the layer policy's per-layer all-gather collapses.  That streaming
-  is the *modelled* schedule: the host runs the numerics once, as one
-  pass of the shared array datapath, and prices the micro-batch plan
-  from the memoised cycle oracle without executing it chunk by chunk.
+  the layer policy's per-layer all-gather collapses.
 
-All policies are **bitwise-equal** to the single-array path when
-``quantized=True`` (the default): every sample's and every output
-channel's arithmetic is the exact same integer datapath — splitting a
-batch or slicing an output dimension removes no term and reorders no
-per-element sum — and the re-quantisation between layers is
-elementwise, so it commutes with the concatenation that merges shard
-outputs.  (``quantized=False`` float numerics agree only to round-off
-under sample sharding, because BLAS may re-associate sums for
-different batch shapes; the pipeline policy serves one whole-batch
-forward, so its float output is bitwise the single array's too.)
+**One datapath, three cost plans.**  Every policy's Q values are the
+single array's: the fixed-point arithmetic is exact integers, so
+splitting a batch or slicing an output dimension removes no term and
+reorders no per-element sum, and the re-quantisation between layers is
+elementwise, so it commutes with the concatenation that would merge
+shard outputs.  The host therefore runs the numerics *once*, through
+one :class:`~repro.backend.systolic_backend.SystolicBackend`, and each
+policy only *prices* its plan — per-array cycles from the memoised
+closed-form oracle at the chunk, slice or micro-batch shape, plus the
+inter-array transfers — without executing it.  The same pricing
+function serves inference and :meth:`ShardedBackend.train_cost`.
+Faults change only the plan: a crash drops the cached plans so the
+next forward replans over the survivors, and transient / straggler
+faults add per-array cycles.  Because the numerics are one whole-batch
+forward, ``quantized=False`` float output is bitwise the single
+array's under every policy too.
 
 Costs come back as a :class:`~repro.backend.base.ShardCost`:
 ``layer_cycles`` stay *work* (summed over arrays — note each array
@@ -59,6 +61,7 @@ is exactly the legacy one-cycle-per-element model, while ``ring`` and
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -74,7 +77,6 @@ from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
 from repro.parallel.pool import resolve_workers
 from repro.systolic.array import ArrayConfig
-from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.noc import NocModel
 
 __all__ = ["ShardedBackend", "SHARD_POLICIES"]
@@ -90,34 +92,23 @@ def _argmax(cycles: list[int]) -> int:
     return max(range(len(cycles)), key=cycles.__getitem__)
 
 
-def _slice_layer(layer, lo: int, hi: int):
-    """A copy of ``layer`` holding output slice ``[lo:hi)`` of its weights.
-
-    Conv2D slices the filter axis, Dense the output-feature axis; the
-    input dimension stays full because layer sharding broadcasts the
-    whole activation to every array.  Weight *values* are placeholders
-    until the first :meth:`ShardedBackend.sync` copies the live slice
-    in (the model-download broadcast).
-    """
-    if isinstance(layer, Conv2D):
-        sliced = Conv2D(
-            layer.in_channels, hi - lo, layer.kernel_size,
-            stride=layer.stride, pad=layer.pad, name=layer.name,
-        )
-    elif isinstance(layer, Dense):
-        sliced = Dense(layer.in_features, hi - lo, name=layer.name)
-    else:  # pragma: no cover - guarded by the caller
-        raise TypeError(f"cannot shard {type(layer).__name__}")
-    return sliced
+def _split_sizes(rows: int, parts: int) -> list[int]:
+    """Row counts of :func:`numpy.array_split` (zero-row parts included)."""
+    base, longer = divmod(rows, parts)
+    return [base + 1] * longer + [base] * (parts - longer)
 
 
-def _copy_slice(src, dst, lo: int, hi: int) -> None:
-    """Copy output slice ``[lo:hi)`` of ``src``'s weights into ``dst``."""
-    if isinstance(src, Conv2D):
-        dst.weight.value[...] = src.weight.value[lo:hi]
-    else:
-        dst.weight.value[...] = src.weight.value[:, lo:hi]
-    dst.bias.value[...] = src.bias.value[lo:hi]
+class _Traffic:
+    """Merge cycles and element-hops of one plan's inter-array transfers."""
+
+    def __init__(self, noc: NocModel):
+        self.noc = noc
+        self.cycles = 0
+        self.hops = 0
+
+    def ship(self, elements: int, src: int, dst: int) -> None:
+        self.cycles += self.noc.transfer_cycles(elements, src, dst)
+        self.hops += self.noc.element_hops(elements, src, dst)
 
 
 # ----------------------------------------------------------------------
@@ -257,28 +248,59 @@ def _pipeline_stage_search(
     return best[1], best[2]
 
 
-def _parametric_input_elements(
+# ----------------------------------------------------------------------
+# Per-layer pricing shared by the plans
+# ----------------------------------------------------------------------
+def _parametric_inputs(
     network: Network, state_shape: tuple[int, ...]
-) -> list[int]:
-    """Per-row element count of each parametric layer's input tensor.
+) -> list[tuple[int, object, tuple[int, ...]]]:
+    """``(index, layer, input_shape)`` of every conv / FC layer.
 
     Walks the built layer stack tracking the activation shape from
-    ``state_shape`` (C, H, W) — the tensor that crosses an inter-array
-    link when a stage or slice boundary sits just before that layer.
+    ``state_shape`` (C, H, W).  ``input_shape`` is the per-row tensor
+    the layer consumes — ``(C, H, W)`` for a conv, ``(in_features,)``
+    for an FC layer — and the one that crosses an inter-array link
+    when a stage or slice boundary sits just before that layer.
     """
     c, h, w = (int(v) for v in state_shape)
-    elements: list[int] = []
-    for layer in network.layers:
+    inputs = []
+    for index, layer in enumerate(network.layers):
         if isinstance(layer, Conv2D):
-            elements.append(c * h * w)
+            inputs.append((index, layer, (c, h, w)))
             c, h, w = layer.output_shape(h, w)
         elif isinstance(layer, MaxPool2D):
             h, w = layer.output_shape(h, w)
         elif isinstance(layer, Dense):
-            elements.append(layer.in_features)
+            inputs.append((index, layer, (layer.in_features,)))
         # ReLU / norm / flatten: no shape change that matters here
         # (flatten keeps c*h*w, which is what Dense.in_features reads).
-    return elements
+    return inputs
+
+
+def _out_width(layer) -> int:
+    """Output channels (conv) or features (FC) — the axis slices split."""
+    return layer.out_channels if isinstance(layer, Conv2D) else layer.out_features
+
+
+def _slice_cost(layer, input_shape, width, rows, config, trainable):
+    """Closed-form cost of ``width`` of ``layer``'s outputs over ``rows``.
+
+    The per-layer oracle the sample and layer plans price from (the
+    same one ``network_training_step_cost`` walks): forward GEMM cycles,
+    plus the dW / dX GEMMs when ``trainable``.  ``width`` is the full
+    output width for a whole-layer pass, or a layer slice's.
+    """
+    from repro.systolic.training import _conv_layer_cost, _fc_layer_cost
+
+    if isinstance(layer, Conv2D):
+        cost, _ = _conv_layer_cost(
+            layer.name, *input_shape, width, layer.kernel_size,
+            layer.stride, layer.pad, rows, config, trainable,
+        )
+        return cost
+    return _fc_layer_cost(
+        layer.name, layer.in_features, width, rows, config, trainable
+    )
 
 
 @register_backend("sharded")
@@ -296,8 +318,8 @@ class ShardedBackend(ExecutionBackend):
         ``"layer"`` (split conv filters / FC output neurons) or
         ``"pipeline"`` (partition the layers into stages).
     config / fidelity / quantized / weight_format / activation_format:
-        Passed through to every child :class:`SystolicBackend` — each
-        array runs the same datapath the single-array backend models.
+        Passed through to the array datapath — the same one the
+        single-array :class:`SystolicBackend` models.
     noc:
         Inter-array interconnect topology — one of
         :data:`~repro.systolic.noc.NOC_TOPOLOGIES`.  ``"flat"``
@@ -312,15 +334,14 @@ class ShardedBackend(ExecutionBackend):
         per array, enough overlap to amortise fill/drain without
         drowning in per-chunk filter reloads.
     workers:
-        Host process-pool size for sample-policy child forwards
-        (``"auto"`` = one per CPU, capped at K).  ``1`` (default) is
-        the serial path, byte-for-byte today's behaviour.  Parallel
-        dispatch sends the *same* chunks to the same pure child code
-        in pool workers and replays the accounting in shard order, so
-        results and cost records are bitwise identical at any worker
-        count.  The layer policy always runs serially — its layers
-        chain through a gather/broadcast data dependency, so there is
-        no host-side parallelism to harvest.
+        Host process-pool size (``"auto"`` = one per CPU, capped at K)
+        under every policy.  ``1`` (default) runs the numerics inline;
+        more workers split the batch's rows over the pool, each worker
+        forwarding its rows through its copy of the array datapath.
+        Rows are independent and the quantised arithmetic is exact, so
+        Q values are bitwise identical at any worker count (float
+        numerics, ``quantized=False``, agree to round-off), and every
+        cost and fault decision stays in this process.
     """
 
     def __init__(
@@ -348,9 +369,6 @@ class ShardedBackend(ExecutionBackend):
         self.network = network
         self.shards = shards
         self.shard = shard
-        self.fidelity = fidelity
-        self.quantized = quantized
-        self.activation_format = activation_format
         self.noc = noc
         self.pipeline_chunk = pipeline_chunk
         # Validates the topology name; node ids are *original* array
@@ -359,14 +377,20 @@ class ShardedBackend(ExecutionBackend):
             topology=noc, nodes=shards,
             word_bits=activation_format.total_bits,
         )
-        child_kwargs = dict(
-            config=config, fidelity=fidelity, quantized=quantized,
+        #: The one array datapath.  Every array of every policy holds
+        #: the same quantised weights (full copies, or slices of the
+        #: same tensors), so one simulated array runs the numerics and
+        #: its buffers are the ones syncs and SRAM faults reach.
+        self.array = SystolicBackend(
+            network, config=config, fidelity=fidelity, quantized=quantized,
             weight_format=weight_format, activation_format=activation_format,
         )
-        self._child_kwargs = child_kwargs
-        #: Child position -> original array index (identity until a
-        #: crash failover rebuilds the layer plan over the survivors).
-        self._position_to_shard = list(range(shards))
+        self.config = self.array.config
+        self._price = {
+            "sample": self._price_sample,
+            "layer": self._price_layer,
+            "pipeline": self._price_pipeline,
+        }[shard]
         #: Lazily built float fallback for all-arrays-lost degradation.
         self._fallback = None
         self._chaos_forward = 0
@@ -376,115 +400,38 @@ class ShardedBackend(ExecutionBackend):
         #: to workers only when its shipped version falls behind.
         self._weights_version = 0
         self._executor = None
-        #: Pipeline stage layouts, keyed on (alive arrays, state shape,
-        #: chunk rows, chunk count); cleared on crash failover.
-        self._pipeline_plans: dict[tuple, PipelinePlan] = {}
-        if shard != "layer":
-            # Sample and pipeline policies: every array downloads the
-            # full model.  All K copies are byte-identical, so one
-            # simulated child stands in for every array (the simulation
-            # quantises once per sync, not K times) — the K entries are
-            # the same object, indexed per-array for the forward loop.
-            self.children = [SystolicBackend(network, **child_kwargs)] * shards
-            self._plan = None
-        else:
-            self._plan = self._build_layer_plan(network, shards)
-            self.children = [
-                SystolicBackend(net, **child_kwargs)
-                for net in self._shard_networks
-            ]
-            self.sync()
-        self.config = self.children[0].config
-
-    # ------------------------------------------------------------------
-    def _build_layer_plan(self, network: Network, shards: int):
-        """Per-layer shard assignments for the ``layer`` policy.
-
-        Returns ``{layer_index: [(array, sliced_layer, lo, hi), ...]}``
-        covering every parametric layer, and stores one sliced
-        sub-network per array (arrays left idle by a layer narrower
-        than K simply get no slice of it).
-        """
-        plan: dict[int, list[tuple[int, object, int, int]]] = {}
-        per_array_layers: list[list] = [[] for _ in range(shards)]
-        for index, layer in network.parametric_layers():
-            width = (
-                layer.out_channels
-                if isinstance(layer, Conv2D)
-                else layer.out_features
-            )
-            bounds = np.linspace(0, width, shards + 1).astype(int)
-            assignments = []
-            for k in range(shards):
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                if hi <= lo:
-                    continue  # layer narrower than K: array k sits idle
-                sliced = _slice_layer(layer, lo, hi)
-                assignments.append((k, sliced, lo, hi))
-                per_array_layers[k].append(sliced)
-            plan[index] = assignments
-        self._shard_networks = [
-            Network(layers or [Dense(1, 1, name=f"idle{k}")],
-                    name=f"{network.name}.shard{k}")
-            for k, layers in enumerate(per_array_layers)
-        ]
-        return plan
+        #: Cached plans — layer slices keyed on the alive arrays,
+        #: pipeline stage layouts on (alive arrays, state shape, chunk
+        #: rows, chunk count); crash failover clears them.
+        self._plans: dict[tuple, object] = {}
 
     def sync(self) -> None:
-        """Broadcast the live float weights to every array's datapath.
+        """Download the live float weights into the array datapath.
 
-        Sample and pipeline sharding re-quantise the full weight set
-        once — the per-array copies are byte-identical, so the children
-        share the quantised operands.  Layer sharding copies each
-        array's slice out of the live network first (the sliced
-        sub-networks own their parameters), then re-quantises it.
+        Every array's copy (or slice) is byte-identical to the one
+        array's, so one re-quantisation serves all K.
         """
         self._weights_version += 1
-        if self.shard != "layer":
-            self.children[0].sync()
-            return
-        for index, assignments in self._plan.items():
-            layer = self.network.layers[index]
-            for _k, sliced, lo, hi in assignments:
-                _copy_slice(layer, sliced, lo, hi)
-        for child in self.children:
-            child.sync()
+        self.array.sync()
 
     # ------------------------------------------------------------------
     # Serving-buffer seam (fault injection / detection)
     # ------------------------------------------------------------------
     @property
     def weight_format(self):
-        return self.children[0].weight_format
+        return self.array.weight_format
 
     def weight_buffers(self) -> dict[str, np.ndarray]:
-        """The children's serving buffers (prefixed per array for layer
-        sharding; sample/pipeline arrays share one physical copy)."""
-        if self.shard != "layer":
-            return self.children[0].weight_buffers()
-        merged: dict[str, np.ndarray] = {}
-        for k, child in enumerate(self.children):
-            for name, arr in child.weight_buffers().items():
-                merged[f"shard{k}/{name}"] = arr
-        return merged
+        """The array datapath's serving buffers (full tensors)."""
+        return self.array.weight_buffers()
 
     def corrupt_weight_bit(self, name: str, index: int, bit: int) -> None:
         self._weights_version += 1
-        if self.shard != "layer":
-            self.children[0].corrupt_weight_bit(name, index, bit)
-            return
-        prefix, _, rest = name.partition("/")
-        self.children[int(prefix[len("shard"):])].corrupt_weight_bit(
-            rest, index, bit
-        )
+        self.array.corrupt_weight_bit(name, index, bit)
 
     def _refresh_weight_values(self) -> None:
         self._weights_version += 1
-        if self.shard != "layer":
-            self.children[0]._refresh_weight_values()
-            return
-        for child in self.children:
-            child._refresh_weight_values()
+        self.array._refresh_weight_values()
 
     # ------------------------------------------------------------------
     # Fault handling (FAULTS seam active only)
@@ -505,10 +452,11 @@ class ShardedBackend(ExecutionBackend):
         Detection is the per-shard health check — the scheduler notices
         the array stopped answering after ``health_check_timeout_cycles``
         (charged as recovery overhead).  Recovery remaps the dead
-        array's work onto the survivors: sample sharding just re-splits
-        the batch; layer sharding rebuilds the slice plan over the
-        surviving arrays and re-broadcasts the weights.  With no
-        survivors the backend degrades to the float numpy fallback.
+        array's work onto the survivors by dropping the cached plans:
+        the next forward replans over the alive arrays.  The serving
+        weights stay the published snapshot — nothing is re-synced.
+        With no survivors the backend degrades to the float numpy
+        fallback.
         """
         inj.kill(k)
         rec = inj.record("shard.crash", target=f"shard{k}", detail="scheduled")
@@ -524,12 +472,7 @@ class ShardedBackend(ExecutionBackend):
                 )
                 inj.mark_detected(degraded)
                 inj.mark_recovered(degraded, detail="serving from numpy fallback")
-            elif self.shard == "layer":
-                self._rebuild_layer_shards(alive)
-            elif self.shard == "pipeline":
-                # Stage plans are keyed on the surviving arrays — drop
-                # them so the next forward re-partitions the stages.
-                self._pipeline_plans.clear()
+            self._plans.clear()
         inj.mark_recovered(
             rec,
             detail=(
@@ -538,16 +481,6 @@ class ShardedBackend(ExecutionBackend):
                 else f"failover onto {len(alive)} surviving arrays"
             ),
         )
-
-    def _rebuild_layer_shards(self, alive: list[int]) -> None:
-        """Re-slice every layer across the surviving arrays."""
-        self._plan = self._build_layer_plan(self.network, len(alive))
-        self.children = [
-            SystolicBackend(net, **self._child_kwargs)
-            for net in self._shard_networks
-        ]
-        self._position_to_shard = list(alive)
-        self.sync()
 
     def _forward_degraded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
         """All arrays lost: float inference on the host, zero array cost."""
@@ -608,6 +541,68 @@ class ShardedBackend(ExecutionBackend):
         return extra
 
     # ------------------------------------------------------------------
+    # The one datapath
+    # ------------------------------------------------------------------
+    def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+        """Numerics once through the array, then the policy's priced plan.
+
+        Faults first (a due crash replans over the survivors; with no
+        array alive the float fallback serves), then one executor pass
+        — inline, or row-split over the pool when ``workers > 1`` —
+        then the plan's price, including transient/straggler extras.
+        Each host pass records one ``shard.forward`` span carrying its
+        ``states``; the spans' cycles sum to the priced critical path.
+        """
+        x = np.asarray(states, dtype=np.float64)
+        if x.ndim != 4:
+            raise ValueError(f"expected an (N, C, H, W) state batch, got {x.shape}")
+        if FAULTS.enabled:
+            self._chaos_forward = FAULTS.injector.note_forward()
+        alive = self._active_shards()
+        if not alive:
+            return self._forward_degraded(x)
+        q_values, passes = self._execute(x)
+        cost = self._price(
+            x.shape[0], x.shape[1:], len(self.network.layers), alive,
+            q_width=math.prod(q_values.shape[1:]), chaos=FAULTS.enabled,
+        )
+        if PROBE.enabled:
+            # Split the critical path over the passes by rows; the
+            # first pass takes the rounding remainder.
+            critical = cost.critical_path_cycles
+            shares = [critical * rows // x.shape[0] for rows, _ns, _w in passes]
+            shares[0] += critical - sum(shares)
+            for (rows, wall_ns, worker), cycles in zip(passes, shares):
+                PROBE.record_span(
+                    "shard.forward", wall_ns, cycles=cycles, worker=worker,
+                    states=rows,
+                )
+        return q_values, cost
+
+    def _execute(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+        """Q values and the host passes ``[(rows, wall_ns, worker)]``."""
+        if self.workers > 1:
+            chunks = [c for c in np.array_split(x, self.workers) if c.shape[0]]
+            if len(chunks) > 1:
+                results = self._shard_executor().forward_chunks(chunks)
+                q_values = np.concatenate([q for q, _ns, _w in results], axis=0)
+                return q_values, [
+                    (chunk.shape[0], wall_ns, worker)
+                    for chunk, (_q, wall_ns, worker) in zip(chunks, results)
+                ]
+        start = time.perf_counter_ns()
+        q_values, _ = self.array.forward_batch(x)
+        return q_values, [(x.shape[0], time.perf_counter_ns() - start, None)]
+
+    def _shard_executor(self):
+        """The pool executor for row-split forwards, built on first
+        parallel dispatch (workers spawn only when actually used)."""
+        if self._executor is None:
+            from repro.parallel.dispatch import ShardExecutor
+
+            self._executor = ShardExecutor(self, self.workers)
+        return self._executor
+
     def train_cost(
         self,
         batch_size: int,
@@ -621,13 +616,14 @@ class ShardedBackend(ExecutionBackend):
           weight copy, and the per-array weight gradients all-reduce to
           the root array over the NoC.
         * ``layer`` — model parallel: each array trains only its weight
-          slice, so dW stays local (no full-gradient all-reduce — the
-          old silent fall-back to the data-parallel split is gone);
-          the backward pays a partial-dX reduction per layer instead.
+          slice, so dW stays local; the backward pays a partial-dX
+          reduction per layer instead.
         * ``pipeline`` — pipelined: micro-batches stream forward and
           backward through the stages; fill/drain bubbles are charged
           explicitly and boundary activations (and their gradients)
           cross the NoC.
+
+        The plan is priced by the same function inference uses.
         """
         alive = (
             [k for k in range(self.shards) if k not in FAULTS.injector.dead_shards]
@@ -642,411 +638,207 @@ class ShardedBackend(ExecutionBackend):
                 shards=self.shards, shard_cycles=(0,) * self.shards,
                 noc=self.noc,
             )
-        if self.shard == "layer":
-            return self._train_cost_layer(batch_size, state_shape, first_trainable)
-        if self.shard == "pipeline":
-            return self._price_pipeline(
-                batch_size, state_shape, first_trainable, alive
-            )
-        return self._train_cost_sample(
-            batch_size, state_shape, first_trainable, alive
+        return self._price(batch_size, state_shape, first_trainable, alive)
+
+    # ------------------------------------------------------------------
+    # Cost plans: one pricing function per policy, shared by inference
+    # (``first_trainable == len(network.layers)``) and training
+    # ------------------------------------------------------------------
+    def _shard_cost(
+        self,
+        batch_size: int,
+        macs: int,
+        layer_cycles: dict[str, int],
+        shard_cycles: list[int],
+        compute_cycles: int,
+        traffic: _Traffic,
+        fill_drain: int = 0,
+    ) -> ShardCost:
+        """The :class:`ShardCost` of a priced plan: critical path =
+        parallel compute + merge traffic."""
+        return ShardCost(
+            backend=self.name, states=batch_size, macs=macs,
+            layer_cycles=layer_cycles, shards=self.shards,
+            shard_cycles=tuple(shard_cycles),
+            critical_path_cycles=compute_cycles + traffic.cycles,
+            merge_cycles=traffic.cycles,
+            critical_shard_index=_argmax(shard_cycles),
+            merge_hops=traffic.hops, fill_drain_cycles=fill_drain,
+            noc=self.noc,
         )
 
-    def _ship(self, elements: int, src: int, dst: int) -> tuple[int, int]:
-        """NoC (cycles, element-hops) of one inter-array transfer."""
-        return (
-            self._noc.transfer_cycles(elements, src, dst),
-            self._noc.element_hops(elements, src, dst),
-        )
-
-    def _train_cost_sample(
+    def _price_sample(
         self,
         batch_size: int,
         state_shape: tuple[int, ...],
         first_trainable: int,
         alive: list[int],
+        q_width: int = 0,
+        chaos: bool = False,
     ) -> ShardCost:
-        """Data-parallel training: chunked batch, gradient all-reduce."""
-        from repro.systolic.training import network_training_step_cost
+        """Each alive array runs the whole network over its batch chunk.
 
-        sizes = [
-            len(chunk)
-            for chunk in np.array_split(np.arange(batch_size), len(alive))
-        ]
+        The batch splits over the *surviving* arrays — after a crash
+        failover the same work re-splits onto fewer chunks, so each
+        survivor's chunk (and cycle bill) grows by ~K/(K-1).  A chunk's
+        cycles are its layers' costs from the per-layer oracle, priced
+        once per distinct chunk size.  Every non-root array then ships
+        its ``q_width`` Q values per row (inference) and its full
+        weight gradient (training) to the root array; ``chaos`` charges
+        the FAULTS transient/straggler extras per array.
+        """
+        inputs = _parametric_inputs(self.network, state_shape)
+        sizes = _split_sizes(batch_size, len(alive))
+        chunk_costs = {
+            size: [
+                _slice_cost(
+                    layer, shape, _out_width(layer), size, self.config,
+                    index >= first_trainable,
+                )
+                for index, layer, shape in inputs
+            ]
+            for size in set(sizes) if size
+        }
+        grad_elements = sum(
+            cost.weight_elements for cost in chunk_costs[sizes[0]]
+        )
         shard_cycles = [0] * self.shards
         layer_cycles: dict[str, int] = {}
         macs = 0
-        contributors = []
+        traffic = _Traffic(self._noc)
+        root = alive[0]
         for k, size in zip(alive, sizes):
-            if size == 0:
+            if not size:
                 continue  # batch narrower than K: array k sits idle
-            contributors.append(k)
-            step = network_training_step_cost(
-                self.network, state_shape, size,
-                config=self.config, first_trainable=first_trainable,
-            )
-            shard_cycles[k] = step.total_cycles
-            macs += step.total_macs
-            for layer in step.layers:
-                name = layer.name
-                layer_cycles[name] = layer_cycles.get(name, 0) + layer.total_cycles
-        grad_elements = sum(p.size for p in self.network.parameters(first_trainable))
-        merge = 0
-        merge_hops = 0
-        root = contributors[0] if contributors else alive[0]
-        for k in contributors[1:]:
-            # Each non-root array ships its full weight gradient to the
-            # root (flat NoC: one cycle per element — the legacy charge).
-            cycles, hops = self._ship(grad_elements, k, root)
-            merge += cycles
-            merge_hops += hops
-        critical = max(shard_cycles) + merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
+            for cost in chunk_costs[size]:
+                shard_cycles[k] += cost.total_cycles
+                macs += cost.total_macs
+                layer_cycles[cost.name] = (
+                    layer_cycles.get(cost.name, 0) + cost.total_cycles
+                )
+            if chaos:
+                shard_cycles[k] += self._chaos_extra(k, shard_cycles[k])
+            if k != root:
+                if q_width:
+                    traffic.ship(size * q_width, k, root)
+                if grad_elements:
+                    traffic.ship(grad_elements, k, root)
+        return self._shard_cost(
+            batch_size, macs, layer_cycles, shard_cycles,
+            max(shard_cycles), traffic,
         )
 
-    def _train_cost_layer(
+    def _layer_plan(self, alive: tuple[int, ...]) -> dict[int, list[tuple]]:
+        """The (cached) output-slice plan over the alive arrays.
+
+        ``{layer_index: [(array, lo, hi), ...]}`` for every conv / FC
+        layer: contiguous slices of its filters / output neurons.  An
+        array left without a slice of a layer narrower than the alive
+        count sits idle on it and is no consumer of it.
+        """
+        key = ("layer", alive)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = {}
+            for index, layer in self.network.parametric_layers():
+                bounds = np.linspace(0, _out_width(layer), len(alive) + 1)
+                bounds = bounds.astype(int)
+                plan[index] = [
+                    (k, int(lo), int(hi))
+                    for k, lo, hi in zip(alive, bounds, bounds[1:])
+                    if hi > lo
+                ]
+            self._plans[key] = plan
+        return plan
+
+    def _price_layer(
         self,
         batch_size: int,
         state_shape: tuple[int, ...],
         first_trainable: int,
+        alive: list[int],
+        q_width: int = 0,
+        chaos: bool = False,
     ) -> ShardCost:
-        """Model-parallel training for the ``layer`` policy.
+        """Every alive array computes its output slice of each layer.
 
-        Each array runs the forward + backward GEMMs of *its output
-        slice only* — dW is an outer product over the slice's rows, so
-        weight gradients never leave the array that applies them.  What
-        crosses the NoC instead:
+        Layers run in sequence (true data dependency); within a layer
+        the slices run in parallel, so the layer contributes its
+        *slowest* slice to the critical path.  Slice cycles come from
+        the same per-layer oracle the whole-layer plans use, evaluated
+        on the slice's width.  What crosses the NoC:
 
-        * the forward broadcast/gather of each layer's activations
-          (the same charges sharded inference pays),
-        * per trainable layer, a partial-dX reduction: every non-hub
-          array ships its partial input-gradient (full input shape) to
-          the layer's hub, which sums them and forwards the result to
-          the arrays of the previous parametric layer — skipped when no
-          trainable layer sits below, exactly where backprop stops.
+        * after each parametric layer, every non-hub slice gathers to
+          the layer's hub (its first array) — the last layer's gather
+          is the Q gather, so ``q_width`` adds nothing here;
+        * before each parametric layer but the first, the hub
+          broadcasts the activation the layer consumes (post-pooling)
+          to every *other* array computing it — once per receiving
+          link, never to the hub itself;
+        * in training, per trainable layer with a trainable layer
+          below, a partial-dX reduction: every non-hub array ships its
+          partial input-gradient to the hub, which forwards the sum to
+          the arrays of the previous parametric layer.  dW stays on
+          the array that applies it.
 
-        Cycles come from the same closed-form per-layer oracle the
-        data-parallel path uses, evaluated on each slice's width, so
-        the layer-sliced bill is consistent with the whole-layer one.
+        ``chaos`` charges each busy array's transient/straggler extras
+        conservatively to the critical path (every layer barrier waits
+        on its slowest slice).
         """
-        from repro.systolic.training import _conv_layer_cost, _fc_layer_cost
-
-        c, h, w = (int(v) for v in state_shape)
+        plan = self._layer_plan(tuple(alive))
         shard_cycles = [0] * self.shards
         layer_cycles: dict[str, int] = {}
         macs = 0
-        merge = 0
-        merge_hops = 0
         critical = 0
-        hub_orig: int | None = None  # array holding the merged activation
-        prev_param: tuple[int, list[int]] | None = None
-
-        def ship(elements: int, src: int, dst: int) -> None:
-            nonlocal merge, merge_hops
-            cycles, hops = self._ship(elements, src, dst)
-            merge += cycles
-            merge_hops += hops
-
-        for index, layer in enumerate(self.network.layers):
-            assignments = self._plan.get(index)
-            if not assignments:
-                if isinstance(layer, MaxPool2D):
-                    h, w = layer.output_shape(h, w)
-                continue
+        traffic = _Traffic(self._noc)
+        hub: int | None = None  # array holding the merged activation
+        prev: tuple[int, list[int]] | None = None  # previous layer, consumers
+        for index, layer, shape in _parametric_inputs(self.network, state_shape):
+            slices = plan[index]
             trainable = index >= first_trainable
-            consumers = [self._position_to_shard[k] for k, *_rest in assignments]
-            is_conv = isinstance(layer, Conv2D)
-            act_in = batch_size * (c * h * w if is_conv else layer.in_features)
-            if hub_orig is not None:
-                # Forward: broadcast the merged activation to the other
-                # arrays computing this layer (inference's charge).
+            consumers = [k for k, _lo, _hi in slices]
+            act_in = batch_size * math.prod(shape)
+            if hub is not None:
                 for dst in consumers:
-                    if dst != hub_orig:
-                        ship(act_in, hub_orig, dst)
-            if is_conv:
-                oh = (h + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
-                ow = (w + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
-                per_unit = oh * ow
-            else:
-                per_unit = 1
-            slice_cycles = []
-            for k, _sliced, lo, hi in assignments:
-                orig = self._position_to_shard[k]
-                if is_conv:
-                    cost, _shape = _conv_layer_cost(
-                        layer.name, c, h, w, hi - lo, layer.kernel_size,
-                        layer.stride, layer.pad, batch_size, self.config,
-                        trainable,
-                    )
-                else:
-                    cost = _fc_layer_cost(
-                        layer.name, layer.in_features, hi - lo, batch_size,
-                        self.config, trainable,
-                    )
-                shard_cycles[orig] += cost.total_cycles
-                slice_cycles.append(cost.total_cycles)
-                macs += cost.total_macs
-                name = layer.name
-                layer_cycles[name] = layer_cycles.get(name, 0) + cost.total_cycles
-            critical += max(slice_cycles)
-            new_hub = self._position_to_shard[assignments[0][0]]
-            # Forward: gather the output slices to the layer's hub.
-            for k, _sliced, lo, hi in assignments:
-                orig = self._position_to_shard[k]
-                if orig != new_hub:
-                    ship(batch_size * (hi - lo) * per_unit, orig, new_hub)
-            # Backward: partial-dX reduction, only while gradient still
-            # flows to a trainable layer below this one.
-            if (
-                trainable
-                and prev_param is not None
-                and prev_param[0] >= first_trainable
-            ):
-                for orig in consumers:
-                    if orig != new_hub:
-                        ship(act_in, orig, new_hub)
-                for dst in prev_param[1]:
-                    if dst != new_hub:
-                        ship(act_in, new_hub, dst)
-            if is_conv:
-                c, h, w = layer.out_channels, oh, ow
-            hub_orig = new_hub
-            prev_param = (index, consumers)
-        critical += merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
-        )
-
-    def _requantize(self, x: np.ndarray) -> np.ndarray:
-        return self.activation_format.quantize(x) if self.quantized else x
-
-    def _shard_executor(self):
-        """The pool executor for sample-policy forwards, built on first
-        parallel dispatch (workers spawn only when actually used)."""
-        if self._executor is None:
-            from repro.parallel.dispatch import ShardExecutor
-
-            self._executor = ShardExecutor(self, self.workers)
-        return self._executor
-
-    def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        x = np.asarray(states, dtype=np.float64)
-        if x.ndim != 4:
-            raise ValueError(f"expected an (N, C, H, W) state batch, got {x.shape}")
-        if FAULTS.enabled:
-            self._chaos_forward = FAULTS.injector.note_forward()
-        if self.shard == "sample":
-            return self._forward_sample(x)
-        if self.shard == "pipeline":
-            return self._forward_pipeline(x)
-        return self._forward_layer_sharded(x)
-
-    def _forward_sample(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """Each array runs the whole network over its batch chunk.
-
-        The batch splits over the *surviving* arrays — after a crash
-        failover the same work re-splits onto fewer chunks, so each
-        survivor's chunk (and cycle bill) grows by ~K/(K-1).  With every
-        array alive the split is exactly the original one.
-        """
-        n = x.shape[0]
-        active = self._active_shards()
-        if not active:
-            return self._forward_degraded(x)
-        chunks = np.array_split(x, len(active))
-        jobs = [
-            (k, chunk)
-            for k, chunk in zip(active, chunks)
-            if chunk.shape[0] > 0  # batch narrower than K: array k idles
-        ]
-        if self.workers > 1 and len(jobs) > 1:
-            # Parallel path: pure child forwards run in pool workers
-            # (PROBE/FAULTS permanently off there); the workers time
-            # themselves and the spans/chaos accounting replay below in
-            # shard order, so both the numerics and every ledger match
-            # the serial loop bitwise.
-            results = self._shard_executor().forward_chunks(
-                [chunk for _k, chunk in jobs]
-            )
-            forwards = [
-                (k, chunk, q_k, cost_k, wall_ns, worker)
-                for (k, chunk), (q_k, cost_k, wall_ns, worker)
-                in zip(jobs, results)
-            ]
-        else:
-            forwards = []
-            for k, chunk in jobs:
-                start = time.perf_counter_ns()
-                q_k, cost_k = self.children[k].forward_batch(chunk)
-                forwards.append(
-                    (k, chunk, q_k, cost_k,
-                     time.perf_counter_ns() - start, None)
+                    if dst != hub:
+                        traffic.ship(act_in, hub, dst)
+            slowest = 0
+            for k, lo, hi in slices:
+                cost = _slice_cost(
+                    layer, shape, hi - lo, batch_size, self.config, trainable
                 )
-        outputs = []
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        merge = 0
-        merge_hops = 0
-        root = active[0]
-        for k, chunk, q_k, cost_k, wall_ns, worker in forwards:
-            PROBE.record_span(
-                "shard.forward", wall_ns, cycles=cost_k.total_cycles,
-                worker=worker, shard=k, states=chunk.shape[0],
+                shard_cycles[k] += cost.total_cycles
+                slowest = max(slowest, cost.total_cycles)
+                macs += cost.total_macs
+                layer_cycles[layer.name] = (
+                    layer_cycles.get(layer.name, 0) + cost.total_cycles
+                )
+            critical += slowest
+            per_unit = (
+                math.prod(layer.output_shape(*shape[1:])[1:])
+                if isinstance(layer, Conv2D)
+                else 1
             )
-            outputs.append(q_k)
-            cycles_k = cost_k.total_cycles
-            if FAULTS.enabled:
-                cycles_k += self._chaos_extra(k, cycles_k)
-            shard_cycles[k] = cycles_k
-            macs += cost_k.macs
-            for name, cycles in cost_k.layer_cycles.items():
-                layer_cycles[name] = layer_cycles.get(name, 0) + cycles
-            if k != root:
-                # Gathering array k's Q rows to the root array over the
-                # NoC (flat: one element per link cycle, the legacy
-                # charge; the root's rows stay put).
-                cycles, hops = self._ship(q_k.size, k, root)
-                merge += cycles
-                merge_hops += hops
-        q_values = np.concatenate(outputs, axis=0)
-        critical = max(shard_cycles) + merge
-        return q_values, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
+            new_hub = consumers[0]
+            for k, lo, hi in slices[1:]:
+                traffic.ship(batch_size * (hi - lo) * per_unit, k, new_hub)
+            if trainable and prev is not None and prev[0] >= first_trainable:
+                for k in consumers[1:]:
+                    traffic.ship(act_in, k, new_hub)
+                for dst in prev[1]:
+                    if dst != new_hub:
+                        traffic.ship(act_in, new_hub, dst)
+            hub, prev = new_hub, (index, consumers)
+        if chaos:
+            for k in alive:
+                if shard_cycles[k]:
+                    extra = self._chaos_extra(k, shard_cycles[k])
+                    shard_cycles[k] += extra
+                    critical += extra
+        return self._shard_cost(
+            batch_size, macs, layer_cycles, shard_cycles, critical, traffic
         )
 
-    def _forward_layer_sharded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """Every array computes its output slice of each layer.
-
-        Layers execute in sequence (true data dependency); within a
-        layer the K slices run in parallel, so the layer contributes
-        its *slowest* slice to the critical path.  After each
-        parametric layer the slices gather to a hub array — the first
-        array assigned to the layer — into the full activation
-        (concatenation along the channel/feature axis reproduces the
-        original output order — slices are contiguous); elementwise /
-        pooling layers run there.  When the next parametric layer is
-        reached, the activation it consumes — post-pooling, so the
-        tensor that actually moves — is broadcast from the hub to the
-        *other* arrays assigned to it (nothing after the last layer:
-        the Q values are already gathered; nothing for the first, whose
-        input arrives from the host).  Both transfers price each moved
-        element on the NoC model — per *receiving* array for the
-        broadcast (each non-hub consumer's link carries the whole
-        activation; the hub itself never pays), per *sending* array for
-        the gather — so the flat topology reproduces the legacy
-        one-cycle-per-element charge exactly.
-        """
-        n = x.shape[0]
-        if FAULTS.enabled and not self._active_shards():
-            return self._forward_degraded(x)
-        x = self._requantize(x)
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        merge = 0
-        merge_hops = 0
-        critical = 0
-        hub: int | None = None
-        pe_sim = (
-            FunctionalSystolicArray(self.config, fidelity="pe")
-            if self.fidelity == "pe"
-            else None
-        )
-
-        def charge(name: str, cycles: int) -> None:
-            while name in layer_cycles:
-                name += "'"
-            layer_cycles[name] = cycles
-
-        for index, layer in enumerate(self.network.layers):
-            assignments = self._plan.get(index)
-            if not assignments:
-                # ReLU / pooling / flatten run on the merged activation
-                # (vector units / comparators) — no MAC cycles, exactly
-                # as on the single-array path.
-                x = layer.forward(x, training=False)
-            else:
-                if hub is not None:
-                    # Broadcast the hub's activation to every *other*
-                    # array computing this layer — one full-activation
-                    # transfer per non-hub consumer, none when the hub
-                    # consumes its own copy (so a layer feeding several
-                    # arrays charges each link once, no double count).
-                    hub_orig = self._position_to_shard[hub]
-                    for k in sorted({k for k, *_rest in assignments} - {hub}):
-                        cycles, hops = self._ship(
-                            x.size, hub_orig, self._position_to_shard[k]
-                        )
-                        merge += cycles
-                        merge_hops += hops
-                parts = []
-                slice_cycles = []
-                work = 0
-                for k, sliced, _lo, _hi in assignments:
-                    orig = self._position_to_shard[k]
-                    with PROBE.span(
-                        "shard.forward", shard=orig, layer=layer.name
-                    ) as sp:
-                        out_k, cycles_k, macs_k = self.children[k].forward_layer(
-                            sliced, x, pe_sim
-                        )
-                        sp.add_cycles(cycles_k)
-                    parts.append(out_k)
-                    shard_cycles[orig] += cycles_k
-                    slice_cycles.append(cycles_k)
-                    work += cycles_k
-                    macs += macs_k
-                x = np.concatenate(parts, axis=1)
-                charge(layer.name, work)
-                # Gather every non-hub slice into the full activation.
-                hub = assignments[0][0]
-                hub_orig = self._position_to_shard[hub]
-                for (k, *_rest), part in zip(assignments[1:], parts[1:]):
-                    cycles, hops = self._ship(
-                        part.size, self._position_to_shard[k], hub_orig
-                    )
-                    merge += cycles
-                    merge_hops += hops
-                critical += max(slice_cycles)
-            x = self._requantize(x)
-        critical += merge
-        if FAULTS.enabled:
-            # Transient retries and stragglers stretch each array's
-            # per-layer slices; charged conservatively to the critical
-            # path (every layer barrier waits on its slowest slice).
-            for orig in self._position_to_shard:
-                if shard_cycles[orig] == 0:
-                    continue
-                extra = self._chaos_extra(orig, shard_cycles[orig])
-                shard_cycles[orig] += extra
-                critical += extra
-        return x, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
-        )
-
-    # ------------------------------------------------------------------
-    # Pipeline policy
-    # ------------------------------------------------------------------
     def _resolve_pipeline_chunk(self, n: int, arrays: int) -> int:
         """Micro-batch rows per pipeline chunk for an ``n``-row batch."""
         if self.pipeline_chunk is not None:
@@ -1068,7 +860,7 @@ class ShardedBackend(ExecutionBackend):
         scored against the actual chunked schedule.
         """
         key = (alive, tuple(int(v) for v in state_shape), chunk_rows, num_chunks)
-        plan = self._pipeline_plans.get(key)
+        plan = self._plans.get(key)
         if plan is not None:
             return plan
         from repro.systolic.training import network_training_step_cost
@@ -1098,40 +890,8 @@ class ShardedBackend(ExecutionBackend):
             layer_ranges=tuple(zip(starts, ends)),
             stage_arrays=tuple(stage_arrays),
         )
-        self._pipeline_plans[key] = plan
+        self._plans[key] = plan
         return plan
-
-    def _forward_pipeline(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """One executor pass for the numerics, then the priced schedule.
-
-        Every stage array holds a byte-identical weight copy, so the
-        shared child runs the whole batch once: exact-integer
-        arithmetic and the elementwise re-quantisation after every
-        layer make that bitwise what streaming each micro-batch through
-        each stage would compute.  Micro-batch streaming is the
-        *modelled* schedule — :meth:`_price_pipeline` charges it from
-        the cycle oracle: per-array busy cycles, the fill/drain bubbles
-        the schedule cannot hide (``fill_drain_cycles``) and NoC
-        transfer cycles for every stage-boundary hand-off plus the
-        final Q gather.  The ``shard.forward`` span times the one host
-        pass and carries the critical-path cycles; per-array cycles
-        stay in ``ShardCost.shard_cycles``.
-        """
-        active = self._active_shards()
-        if not active:
-            return self._forward_degraded(x)
-        start = time.perf_counter_ns()
-        q_values, _ = self.children[0].forward_batch(x)
-        wall_ns = time.perf_counter_ns() - start
-        cost = self._price_pipeline(
-            x.shape[0], x.shape[1:], len(self.network.layers), active,
-            q_width=int(np.prod(q_values.shape[1:])), chaos=FAULTS.enabled,
-        )
-        PROBE.record_span(
-            "shard.forward", wall_ns, cycles=cost.critical_path_cycles,
-            states=x.shape[0],
-        )
-        return q_values, cost
 
     def _price_pipeline(
         self,
@@ -1142,21 +902,19 @@ class ShardedBackend(ExecutionBackend):
         q_width: int = 0,
         chaos: bool = False,
     ) -> ShardCost:
-        """Price micro-batches streaming through the stages — no numerics.
+        """Price micro-batches streaming through the stages.
 
-        Shared by inference (``first_trainable == len(network.layers)``:
-        forward cycles only) and training.  Each stage's per-chunk time
-        is its layers' forward (+ backward) GEMM cycles from the
-        memoised closed-form oracle at that chunk's rows; the chunked
-        schedule yields the makespan, per-array busy cycles and
-        fill/drain bubbles.  Stage-boundary activations cross the NoC
-        once forward and — while a trainable layer sits below the
-        boundary — once more backward as the dX gradient; replicated
-        (width > 1) stages all-reduce their trainable weight gradients
-        within the stage (nothing when every layer is frozen).
-        ``q_width`` > 0 gathers that many Q values per row from the
-        last stage's replicas to its first array; ``chaos`` charges the
-        FAULTS transient/straggler extras.
+        Each stage's per-chunk time is its layers' forward (+ backward)
+        GEMM cycles from the memoised closed-form oracle at that
+        chunk's rows; the chunked schedule yields the makespan,
+        per-array busy cycles and fill/drain bubbles.  Stage-boundary
+        activations cross the NoC once forward and — while a trainable
+        layer sits below the boundary — once more backward as the dX
+        gradient; replicated (width > 1) stages all-reduce their
+        trainable weight gradients within the stage (nothing when
+        every layer is frozen).  ``q_width`` > 0 gathers that many Q
+        values per row from the last stage's replicas to its first
+        array; ``chaos`` charges the FAULTS transient/straggler extras.
         """
         from repro.systolic.training import network_training_step_cost
 
@@ -1166,10 +924,8 @@ class ShardedBackend(ExecutionBackend):
         plan = self._pipeline_plan(
             tuple(alive), state_shape, chunk_rows, num_chunks
         )
-        # numpy.array_split row counts; zero-row chunks never enter the
-        # schedule.
-        base, longer = divmod(batch_size, num_chunks)
-        sizes = [base + 1] * longer + [base] * (num_chunks - longer if base else 0)
+        # Zero-row chunks never enter the schedule.
+        sizes = [size for size in _split_sizes(batch_size, num_chunks) if size]
         num_chunks = len(sizes)
         # Chunks of one size cost the same: price each distinct size once.
         layer_cycles: dict[str, int] = {}
@@ -1198,18 +954,13 @@ class ShardedBackend(ExecutionBackend):
         for s, arrays in enumerate(plan.stage_arrays):
             for a, orig in enumerate(arrays):
                 shard_cycles[orig] = busy[s][a]
-        merge = 0
-        merge_hops = 0
-
-        def ship(elements: int, src: int, dst: int) -> None:
-            nonlocal merge, merge_hops
-            cycles, hops = self._ship(elements, src, dst)
-            merge += cycles
-            merge_hops += hops
-
+        traffic = _Traffic(self._noc)
         # Stage hand-offs: chunk m leaves stage s-1's serving array for
         # stage s's, carrying the boundary activation.
-        boundary_rows = _parametric_input_elements(self.network, state_shape)
+        boundary_rows = [
+            math.prod(shape)
+            for _i, _l, shape in _parametric_inputs(self.network, state_shape)
+        ]
         param_indices = [i for i, _l in self.network.parametric_layers()]
         for s in range(1, stages):
             first_param = plan.param_bounds[s]
@@ -1218,7 +969,7 @@ class ShardedBackend(ExecutionBackend):
             # parametric layer sits below it (backprop reaches it).
             grad_crosses = param_indices[first_param - 1] >= first_trainable
             for m in range(num_chunks):
-                ship(
+                traffic.ship(
                     sizes[m] * rows * (2 if grad_crosses else 1),
                     plan.stage_arrays[s - 1][assign[s - 1][m]],
                     plan.stage_arrays[s][assign[s][m]],
@@ -1228,7 +979,7 @@ class ShardedBackend(ExecutionBackend):
             for m in range(num_chunks):
                 src = plan.stage_arrays[-1][assign[-1][m]]
                 if src != q_hub:
-                    ship(sizes[m] * q_width, src, q_hub)
+                    traffic.ship(sizes[m] * q_width, src, q_hub)
         for s, arrays in enumerate(plan.stage_arrays):
             # Replicated stage: each replica trained on its own chunks,
             # so the stage's weight gradients all-reduce to its first
@@ -1237,7 +988,7 @@ class ShardedBackend(ExecutionBackend):
             lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
             stage_grad = sum(cost.weight_elements for cost in step.layers[lo:hi])
             for orig in arrays[1:]:
-                ship(stage_grad, orig, arrays[0])
+                traffic.ship(stage_grad, orig, arrays[0])
         if chaos:
             # Transient retries and stragglers stretch an array's busy
             # time; charged conservatively to the makespan (every chunk
@@ -1247,13 +998,7 @@ class ShardedBackend(ExecutionBackend):
                     extra = self._chaos_extra(orig, shard_cycles[orig])
                     shard_cycles[orig] += extra
                     critical_compute += extra
-        fill_drain = critical_compute - max(shard_cycles)
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical_compute + merge, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, fill_drain_cycles=fill_drain,
-            noc=self.noc,
+        return self._shard_cost(
+            batch_size, macs, layer_cycles, shard_cycles, critical_compute,
+            traffic, fill_drain=critical_compute - max(shard_cycles),
         )

@@ -21,9 +21,11 @@ Runs the Q network the way the paper's accelerator does:
 
 ``quantized=False`` disables the fixed-point datapath and serves float
 numerics while still charging cycles — the post-hoc "cost this
-observation batch" mode.  :meth:`SystolicBackend.forward_layer` exposes
-the per-layer primitive (one conv or FC pass on this array) that the
-multi-array :class:`~repro.backend.sharded.ShardedBackend` composes.
+observation batch" mode.  :meth:`SystolicBackend.forward_layer` is the
+per-layer primitive (one conv or FC pass on this array) the forward
+runs layer by layer; the multi-array
+:class:`~repro.backend.sharded.ShardedBackend` serves its numerics
+through one instance of this backend and only prices its shard plans.
 """
 
 from __future__ import annotations
@@ -209,15 +211,12 @@ class SystolicBackend(ExecutionBackend):
     ) -> tuple[np.ndarray, int, int]:
         """One parametric layer on this array: ``(output, cycles, macs)``.
 
-        The single-layer primitive multi-array composition builds on:
-        a :class:`~repro.backend.sharded.ShardedBackend` hands each
-        child array its slice of a layer (full input, a subset of the
-        output channels / features) and merges the outputs.  Bias is
-        added; the activation re-quantisation between layers is the
-        caller's job — it must happen *after* shard outputs merge, and
-        it is elementwise, so merge-then-quantise equals
-        quantise-then-merge and the sharded datapath stays bitwise
-        equal to this single-array path.
+        The single-layer primitive :meth:`forward_batch` runs for every
+        conv / FC layer.  Bias is added; the activation
+        re-quantisation between layers is the caller's job.  It is
+        elementwise, so it commutes with concatenating output slices —
+        which is why a layer-sharded plan needs no execution of its
+        own: its output is bitwise this whole-layer pass.
         """
         if isinstance(layer, Conv2D):
             if self.fidelity == "pe" and pe_sim is None:

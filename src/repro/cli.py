@@ -45,7 +45,7 @@ execution backend action selection routes through (:mod:`repro.backend`):
 ``numpy`` is the float path, ``quantized`` the 16-bit fixed-point
 datapath, ``systolic`` the accelerator-in-the-loop path whose
 rollouts carry per-step array-cycle budgets into the report and the
-platform projection, and ``sharded`` composes K systolic arrays
+platform projection, and ``sharded`` models K systolic arrays
 (``--shards K``, ``--shard-policy {sample,layer,pipeline}``) and
 additionally reports critical-path cycles, scaling efficiency and
 pipeline overlap.
@@ -952,10 +952,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--workers", default="1", type=_workers_spec, metavar="N|auto",
-        help="process-pool width for sharded child forwards and env "
-             "group raycasts ('auto' = one per CPU core); workers=1 "
-             "is the serial path and stays bitwise-identical to the "
-             "parallel one",
+        help="process-pool width for env group raycasts and for "
+             "sharded forwards, whose batch rows split over the "
+             "workers under every --shard-policy ('auto' = one per "
+             "CPU core); workers=1 is the serial path and stays "
+             "bitwise-identical to the parallel one",
     )
     p_fleet.add_argument(
         "--sync-every", type=_positive_int, default=1,

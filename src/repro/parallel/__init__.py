@@ -7,7 +7,7 @@ wall-clock ones:
   shared-memory NumPy transport (``--workers N|auto``; ``workers=1`` is
   the untouched serial path).
 * :mod:`repro.parallel.dispatch` — executors that run
-  ``ShardedBackend`` child forwards and vec-env world-group kernels on
+  ``ShardedBackend`` row-split forwards and vec-env world-group kernels on
   that pool, shipping weights/geometry once and deltas on publish.
 * :mod:`repro.parallel.memo` — memoisation for the closed-form cost
   oracles with hit/miss counters exported via ``repro.obs``.

@@ -1,10 +1,10 @@
 """Executor seams: shard forwards and env group kernels on the pool.
 
 Two callers, one pattern.  Each executor owns a set of *named states*
-living in the workers (a shard's child backend, a world group's static
-geometry), ships them once, and afterwards sends only the per-call
-batch.  The worker functions below are **pure**: they run with the
-``PROBE``/``FAULTS`` seams disabled (fresh spawn processes never
+living in the workers (a sharded backend's array datapath, a world
+group's static geometry), ships them once, and afterwards sends only
+the per-call batch.  The worker functions below are **pure**: they run
+with the ``PROBE``/``FAULTS`` seams disabled (fresh spawn processes never
 activate them — :mod:`repro.parallel.procstate`), so a chunk forwarded
 in a worker computes exactly what the same chunk computes inline.  All
 observability replay (span re-emission) and all fault decisions stay in
@@ -27,26 +27,26 @@ __all__ = ["ShardExecutor", "GroupExecutor"]
 # bottom of the stack.
 
 
-def _w_forward(child, chunk):
-    """One shard child forward; returns ``(q_values, cost, wall_ns)``.
+def _w_forward(array, rows):
+    """Forward a row slice through the array; ``(q_values, wall_ns)``.
 
     The wall time is measured in the worker so the coordinator can
     re-emit a faithful ``shard.forward`` span without timing the IPC.
     """
     start = time.perf_counter_ns()
-    q_values, cost = child.forward_batch(chunk)
-    return q_values, cost, time.perf_counter_ns() - start
+    q_values, _cost = array.forward_batch(rows)
+    return q_values, time.perf_counter_ns() - start
 
 
-def _w_refresh(child, raw, value):
-    """Apply a weight delta to a resident child backend.
+def _w_refresh(array, raw, value):
+    """Apply a weight delta to a resident array datapath.
 
     The systolic forward reads only the quantized raw codes and the
     dequantized values (plus static layer specs), so replacing these two
     dicts is a complete weight refresh.
     """
-    child._raw = raw
-    child._value = value
+    array._raw = raw
+    array._value = value
 
 
 def _w_render_group(group, origins, dirs, rows):
@@ -80,38 +80,40 @@ def _w_in_worker():
 
 
 class ShardExecutor:
-    """Runs sample-policy shard child forwards on the process pool.
+    """Runs a sharded backend's row-split forwards on the process pool.
 
-    The child backend (network, quantized weight codes, layer specs)
-    ships to each worker once; afterwards only weight-dict deltas
-    travel, and only when the owner bumps its ``_weights_version``
-    (``WeightBus`` publish, chaos weight corruption, buffer restore).
+    The backend's one array datapath (network, quantized weight codes,
+    layer specs) ships to each worker once; afterwards only weight-dict
+    deltas travel, and only when the owner bumps its
+    ``_weights_version`` (``WeightBus`` publish, chaos weight
+    corruption, buffer restore).  Costs are priced in the coordinator,
+    so workers return only Q values and their wall time.
     """
 
     def __init__(self, backend, workers: int):
         self.backend = backend
         self.workers = int(workers)
-        self._key = f"shard-child-{id(backend)}"
+        self._key = f"shard-array-{id(backend)}"
         self._shipped: dict[int, int] = {}  # worker index -> weights version
 
     def _ensure(self, width: int) -> None:
         version = self.backend._weights_version
-        child = self.backend.children[0]
+        array = self.backend.array
         pool = get_pool(self.workers)
         for w in range(width):
             if self._shipped.get(w) == version:
                 continue
             if w in self._shipped:
                 pool.send_call(
-                    w, self._key, _w_refresh, (dict(child._raw), dict(child._value))
+                    w, self._key, _w_refresh, (dict(array._raw), dict(array._value))
                 )
                 pool.recv(w)
             else:
-                pool.set_state(w, self._key, child)
+                pool.set_state(w, self._key, array)
             self._shipped[w] = version
 
     def forward_chunks(self, chunks: list) -> list:
-        """Forward each chunk; ``[(q, cost, wall_ns, worker)]`` in order."""
+        """Forward each row chunk; ``[(q, wall_ns, worker)]`` in order."""
         pool = get_pool(self.workers)
         width = pool.plan_workers(len(chunks), self.workers)
         self._ensure(width)
@@ -120,8 +122,8 @@ class ShardExecutor:
             limit=self.workers,
         )
         return [
-            (q_values, cost, wall_ns, i % width)
-            for i, (q_values, cost, wall_ns) in enumerate(results)
+            (q_values, wall_ns, i % width)
+            for i, (q_values, wall_ns) in enumerate(results)
         ]
 
 

@@ -6,8 +6,8 @@ the transport avoids the two classic process-pool taxes:
 
 * **Fork/teardown per call** — workers are spawned once (``spawn``
   context: no inherited locks, no copy-on-write surprises) and hold
-  named *state* objects (a shard's child backend, a world group's
-  geometry) shipped once and refreshed only when the owner bumps its
+  named *state* objects (a sharded backend's array datapath, a world
+  group's geometry) shipped once and refreshed only when the owner bumps its
   version, not per call.
 * **Pickling bulk arrays** — each worker owns one host-allocated
   shared-memory block per direction; :func:`_pack` parks large

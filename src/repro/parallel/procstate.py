@@ -3,7 +3,7 @@
 The observability (``PROBE``) and fault-injection (``FAULTS``) seams are
 *process-local by design*: the coordinator process owns the only live
 tracer, metrics registry and fault ledger, and pool workers run pure
-compute (child forwards, env group kernels) with both seams disabled.
+compute (row-split array forwards, env group kernels) with both seams disabled.
 A worker that activated either seam would accumulate spans or fault
 events in a process that nobody ever drains — silent data loss dressed
 up as telemetry.  ``Probe.activate`` and ``FaultSeam.activate`` call

@@ -8,7 +8,9 @@ while every RNG draw, chaos decision and accounting fold stays in the
 coordinator.  Also covers the supporting pieces: worker planning,
 spawn-safety guards on the process-local ``PROBE``/``FAULTS`` seams,
 cross-worker span aggregation, the O(K) :class:`StepCostAccumulator`,
-and the memoisation layer's hit/miss counters.
+and the memoisation layer's hit/miss counters.  The sharded-backend
+checks run under every shard policy: ``workers > 1`` row-splits the one
+array datapath whatever the policy.
 """
 
 import numpy as np
@@ -260,29 +262,34 @@ class TestSpawnSafety:
         assert pool.run(_w_in_worker) is True
 
 
+POLICIES = ("sample", "layer", "pipeline")
+
+
 class TestParallelForwardIdentity:
     def test_sharded_forward_bitwise_identical(self):
         rng = np.random.default_rng(0)
         batch = rng.standard_normal((32, 1, SIDE, SIDE))
-        serial = ShardedBackend(make_net(), shards=4, workers=1)
-        parallel = ShardedBackend(make_net(), shards=4, workers=2)
-        q_s, cost_s = serial.forward_batch(batch)
-        q_p, cost_p = parallel.forward_batch(batch)
-        assert np.array_equal(q_s, q_p)
-        assert cost_s == cost_p
+        for policy in POLICIES:
+            serial = ShardedBackend(make_net(), shards=4, shard=policy, workers=1)
+            parallel = ShardedBackend(make_net(), shards=4, shard=policy, workers=2)
+            q_s, cost_s = serial.forward_batch(batch)
+            q_p, cost_p = parallel.forward_batch(batch)
+            assert np.array_equal(q_s, q_p), policy
+            assert cost_s == cost_p, policy
 
     def test_identity_survives_weight_sync(self):
         rng = np.random.default_rng(1)
         batch = rng.standard_normal((16, 1, SIDE, SIDE))
-        serial = ShardedBackend(make_net(), shards=4, workers=1)
-        parallel = ShardedBackend(make_net(), shards=4, workers=2)
-        for backend in (serial, parallel):
-            backend.forward_batch(batch)  # ship the pre-update snapshot
-            backend.network.parameters()[0].value += 0.01
-            backend.sync()
-        q_s, _ = serial.forward_batch(batch)
-        q_p, _ = parallel.forward_batch(batch)
-        assert np.array_equal(q_s, q_p)
+        for policy in POLICIES:
+            serial = ShardedBackend(make_net(), shards=4, shard=policy, workers=1)
+            parallel = ShardedBackend(make_net(), shards=4, shard=policy, workers=2)
+            for backend in (serial, parallel):
+                backend.forward_batch(batch)  # ship the pre-update snapshot
+                backend.network.parameters()[0].value += 0.01
+                backend.sync()
+            q_s, _ = serial.forward_batch(batch)
+            q_p, _ = parallel.forward_batch(batch)
+            assert np.array_equal(q_s, q_p), policy
 
     def test_vec_env_observations_bitwise_identical(self):
         serial = make_fleet(num_envs=4, workers=1)
@@ -297,9 +304,9 @@ class TestParallelForwardIdentity:
 
 
 class TestParallelFleetIdentity:
-    def _run(self, workers, plan=None):
+    def _run(self, workers, policy, plan=None):
         agent = make_agent(
-            ShardedBackend(make_net(), shards=4, workers=workers),
+            ShardedBackend(make_net(), shards=4, shard=policy, workers=workers),
             sync_every=4,
         )
         scheduler = FleetScheduler(
@@ -311,37 +318,46 @@ class TestParallelFleetIdentity:
             return scheduler.run(rounds=2, steps_per_round=10)
 
     def test_fleet_fingerprint_identical(self):
-        assert fleet_fingerprint(self._run(1)) == fleet_fingerprint(
-            self._run(2)
-        )
+        for policy in POLICIES:
+            assert fleet_fingerprint(self._run(1, policy)) == fleet_fingerprint(
+                self._run(2, policy)
+            ), policy
 
     def test_fleet_fingerprint_identical_under_chaos(self):
         spec = "seed=7,crash=1@15,transient=0.1,straggler=0.1,sensor=0.02"
-        serial = self._run(1, parse_fault_spec(spec))
-        parallel = self._run(2, parse_fault_spec(spec))
-        assert serial.fault_events == parallel.fault_events
-        assert fleet_fingerprint(serial) == fleet_fingerprint(parallel)
+        for policy in POLICIES:
+            serial = self._run(1, policy, parse_fault_spec(spec))
+            parallel = self._run(2, policy, parse_fault_spec(spec))
+            assert serial.fault_events == parallel.fault_events, policy
+            assert fleet_fingerprint(serial) == fleet_fingerprint(parallel), policy
 
 
 class TestSpanAggregation:
-    def _spans(self, workers):
+    def _spans(self, workers, policy):
         rng = np.random.default_rng(2)
         batch = rng.standard_normal((32, 1, SIDE, SIDE))
-        backend = ShardedBackend(make_net(), shards=4, workers=workers)
+        backend = ShardedBackend(
+            make_net(), shards=4, shard=policy, workers=workers
+        )
         backend.forward_batch(batch)  # ship weights before tracing
         with observed(registry=MetricsRegistry()) as (tracer, _):
-            backend.forward_batch(batch)
-        return [s for s in tracer.spans if s.name == "shard.forward"]
+            _, cost = backend.forward_batch(batch)
+        spans = [s for s in tracer.spans if s.name == "shard.forward"]
+        return spans, cost
 
     def test_worker_spans_aggregate_in_coordinator(self):
-        serial = self._spans(1)
-        parallel = self._spans(2)
-        assert len(serial) == len(parallel) == 4
-        assert [s.args["shard"] for s in serial] == [
-            s.args["shard"] for s in parallel
-        ]
-        assert [s.cycles for s in serial] == [s.cycles for s in parallel]
-        # Parallel spans carry the worker lane; serial ones do not.
-        assert all(s.args.get("worker") is not None for s in parallel)
-        assert all(s.args.get("worker") is None for s in serial)
-        assert all(s.thread_id < 0 for s in parallel)
+        """One ``shard.forward`` span per host executor pass: a single
+        inline pass serially, one per pooled row slice in parallel.
+        Either way the spans cover every state once and their cycles
+        sum to the priced critical path."""
+        for policy in POLICIES:
+            serial, cost_s = self._spans(1, policy)
+            parallel, cost_p = self._spans(2, policy)
+            assert len(serial) == 1 and len(parallel) == 2, policy
+            for spans, cost in ((serial, cost_s), (parallel, cost_p)):
+                assert sum(s.args["states"] for s in spans) == 32
+                assert sum(s.cycles for s in spans) == cost.critical_path_cycles
+            # Parallel spans carry the worker lane; serial ones do not.
+            assert [s.args.get("worker") for s in parallel] == [0, 1]
+            assert serial[0].args.get("worker") is None
+            assert all(s.thread_id < 0 for s in parallel)

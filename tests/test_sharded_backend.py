@@ -3,10 +3,13 @@
 Contracts under test:
 
 * ``ShardedBackend`` is **bitwise-equal** in Q values to the
-  single-array ``SystolicBackend`` for both shard policies, over
+  single-array ``SystolicBackend`` for every shard policy, over
   K in {1, 2, 4} and uneven batch sizes — splitting a batch or slicing
   an output dimension must not change one bit of the fixed-point
   datapath's results;
+* each policy's priced plan equals the executing forward it replaced
+  (kept below as test-only references), field by field, faults
+  included, and ``train_cost`` reproduces its recorded values;
 * ``ShardCost`` separates work (summed layer cycles) from wall-clock
   (critical path = slowest array + merge traffic), and merged records
   accumulate critical paths serially;
@@ -17,6 +20,8 @@ Contracts under test:
   ``sync_every <= 4`` the stale fixed-point policy still agrees with
   the float policy on >= 0.95 of seeded rollout states.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,7 +502,7 @@ class TestPipelineSchedule:
             net, shards=2, shard="pipeline", pipeline_chunk=4
         )
         _, cost = backend.forward_batch(states)
-        plan = next(iter(backend._pipeline_plans.values()))
+        plan = next(iter(backend._plans.values()))
         assert plan.widths == (1, 1)
         times = [
             [cost.shard_cycles[arrays[0]] // 4] * 4
@@ -522,7 +527,7 @@ class TestPipelineSchedule:
         net = make_net()
         backend = ShardedBackend(net, shards=4, shard="pipeline")
         backend.forward_batch(rng.uniform(0, 1, size=(8, 1, SIDE, SIDE)))
-        plan = next(iter(backend._pipeline_plans.values()))
+        plan = next(iter(backend._plans.values()))
         assert plan.stages >= 2  # never degenerates to data parallelism
         assert sum(plan.widths) == 4
         flat_arrays = [a for arrays in plan.stage_arrays for a in arrays]
@@ -532,6 +537,180 @@ class TestPipelineSchedule:
         assert plan.layer_ranges[-1][1] == len(net.layers)
         for (lo, hi), (nlo, _nhi) in zip(plan.layer_ranges, plan.layer_ranges[1:]):
             assert hi == nlo > lo
+
+
+def ship(backend, elements, src, dst):
+    """NoC (cycles, element-hops) of one inter-array transfer."""
+    return (
+        backend._noc.transfer_cycles(elements, src, dst),
+        backend._noc.element_hops(elements, src, dst),
+    )
+
+
+def _slice_layer(layer, lo: int, hi: int):
+    """A copy of ``layer`` holding output slice ``[lo:hi)`` of its weights.
+
+    Conv2D slices the filter axis, Dense the output-feature axis; the
+    input dimension stays full because layer sharding broadcasts the
+    whole activation to every array.
+    """
+    if isinstance(layer, Conv2D):
+        return Conv2D(
+            layer.in_channels, hi - lo, layer.kernel_size,
+            stride=layer.stride, pad=layer.pad, name=layer.name,
+        )
+    return Dense(layer.in_features, hi - lo, name=layer.name)
+
+
+def _copy_slice(src, dst, lo: int, hi: int) -> None:
+    """Copy output slice ``[lo:hi)`` of ``src``'s weights into ``dst``."""
+    if isinstance(src, Conv2D):
+        dst.weight.value[...] = src.weight.value[lo:hi]
+    else:
+        dst.weight.value[...] = src.weight.value[:, lo:hi]
+    dst.bias.value[...] = src.bias.value[lo:hi]
+
+
+def reference_sample_forward(backend, states):
+    """The sample forward as it used to execute, kept as an oracle.
+
+    Every alive array forwards its own ``numpy.array_split`` chunk on
+    the host, and the cost is assembled from the cycles those forwards
+    measured plus the Q gather to the root array.  The backend now runs
+    the numerics once and prices this plan; both must agree bit for
+    bit.
+    """
+    from repro.backend.sharded import _argmax
+    from repro.faults.injector import FAULTS
+
+    x = np.asarray(states, dtype=np.float64)
+    if FAULTS.enabled:
+        backend._chaos_forward = FAULTS.injector.note_forward()
+    active = backend._active_shards()
+    outputs = []
+    shard_cycles = [0] * backend.shards
+    layer_cycles: dict[str, int] = {}
+    macs = merge = hops = 0
+    for k, chunk in zip(active, np.array_split(x, len(active))):
+        if chunk.shape[0] == 0:
+            continue
+        q_k, cost_k = backend.array.forward_batch(chunk)
+        outputs.append(q_k)
+        cycles_k = cost_k.total_cycles
+        if FAULTS.enabled:
+            cycles_k += backend._chaos_extra(k, cycles_k)
+        shard_cycles[k] = cycles_k
+        macs += cost_k.macs
+        for name, cycles in cost_k.layer_cycles.items():
+            layer_cycles[name] = layer_cycles.get(name, 0) + cycles
+        if k != active[0]:
+            merge_k, hops_k = ship(backend, q_k.size, k, active[0])
+            merge += merge_k
+            hops += hops_k
+    return np.concatenate(outputs, axis=0), ShardCost(
+        backend=backend.name, states=x.shape[0], macs=macs,
+        layer_cycles=layer_cycles, shards=backend.shards,
+        shard_cycles=tuple(shard_cycles),
+        critical_path_cycles=max(shard_cycles) + merge, merge_cycles=merge,
+        critical_shard_index=_argmax(shard_cycles), merge_hops=hops,
+        noc=backend.noc,
+    )
+
+
+def reference_layer_forward(backend, states):
+    """The layer forward as it used to execute, kept as an oracle.
+
+    Each alive array gets a sliced sub-network (its contiguous share of
+    every layer's filters / output neurons) on its own
+    ``SystolicBackend``; every parametric layer runs slice by slice on
+    the full activation, the slices concatenate at the layer's hub, and
+    the cost is assembled from the measured slice cycles plus the
+    broadcast/gather traffic.  The backend now prices this plan from
+    the cycle oracle; both must agree bit for bit.
+    """
+    from repro.backend.sharded import _argmax
+    from repro.faults.injector import FAULTS
+
+    x = np.asarray(states, dtype=np.float64)
+    if FAULTS.enabled:
+        backend._chaos_forward = FAULTS.injector.note_forward()
+    active = backend._active_shards()
+    array = backend.array
+    plan = {}
+    per_array = {k: [] for k in active}
+    for index, layer in backend.network.parametric_layers():
+        width = (
+            layer.out_channels if isinstance(layer, Conv2D) else layer.out_features
+        )
+        bounds = np.linspace(0, width, len(active) + 1).astype(int)
+        assignments = []
+        for k, lo, hi in zip(active, bounds, bounds[1:]):
+            if hi <= lo:
+                continue
+            sliced = _slice_layer(layer, lo, hi)
+            _copy_slice(layer, sliced, lo, hi)
+            assignments.append((k, sliced))
+            per_array[k].append(sliced)
+        plan[index] = assignments
+    children = {
+        k: SystolicBackend(
+            Network(layers or [Dense(1, 1, name=f"idle{k}")]),
+            config=array.config, fidelity=array.fidelity,
+            quantized=array.quantized, weight_format=array.weight_format,
+            activation_format=array.activation_format,
+        )
+        for k, layers in per_array.items()
+    }
+    x = array._requantize(x)
+    shard_cycles = [0] * backend.shards
+    layer_cycles: dict[str, int] = {}
+    macs = merge = hops = critical = 0
+    hub = None
+    for index, layer in enumerate(backend.network.layers):
+        assignments = plan.get(index)
+        if not assignments:
+            x = layer.forward(x, training=False)
+        else:
+            transfers = []
+            if hub is not None:
+                transfers += [
+                    (x.size, hub, k) for k, _s in assignments if k != hub
+                ]
+            parts = []
+            slice_cycles = []
+            for k, sliced in assignments:
+                out_k, cycles_k, macs_k = children[k].forward_layer(sliced, x)
+                parts.append(out_k)
+                shard_cycles[k] += cycles_k
+                slice_cycles.append(cycles_k)
+                macs += macs_k
+            x = np.concatenate(parts, axis=1)
+            layer_cycles[layer.name] = sum(slice_cycles)
+            hub = assignments[0][0]
+            transfers += [
+                (part.size, k, hub)
+                for (k, _s), part in zip(assignments[1:], parts[1:])
+            ]
+            for elements, src, dst in transfers:
+                merge_t, hops_t = ship(backend, elements, src, dst)
+                merge += merge_t
+                hops += hops_t
+            critical += max(slice_cycles)
+        x = array._requantize(x)
+    critical += merge
+    if FAULTS.enabled:
+        for k in active:
+            if shard_cycles[k]:
+                extra = backend._chaos_extra(k, shard_cycles[k])
+                shard_cycles[k] += extra
+                critical += extra
+    return x, ShardCost(
+        backend=backend.name, states=x.shape[0], macs=macs,
+        layer_cycles=layer_cycles, shards=backend.shards,
+        shard_cycles=tuple(shard_cycles), critical_path_cycles=critical,
+        merge_cycles=merge, critical_shard_index=_argmax(shard_cycles),
+        merge_hops=hops, noc=backend.noc,
+    )
 
 
 def reference_pipeline_forward(backend, states):
@@ -563,9 +742,9 @@ def reference_pipeline_forward(backend, states):
     layer_cycles: dict[str, int] = {}
     macs = 0
     outputs = []
-    child = backend.children[0]
+    child = backend.array
     for m, chunk in enumerate(chunks):
-        h = backend._requantize(chunk)
+        h = child._requantize(chunk)
         for s, (lo, hi) in enumerate(plan.layer_ranges):
             if s > 0:
                 boundary[s][m] = h.size
@@ -579,7 +758,7 @@ def reference_pipeline_forward(backend, states):
                     )
                 else:
                     h = layer.forward(h, training=False)
-                h = backend._requantize(h)
+                h = child._requantize(h)
         outputs.append(h)
     critical, busy, assign = _pipeline_schedule(times, plan.widths)
     shard_cycles = [0] * backend.shards
@@ -602,7 +781,7 @@ def reference_pipeline_forward(backend, states):
         for m, out in enumerate(outputs)
     ]
     for elements, src, dst in transfers:
-        merge_m, hops_m = backend._ship(elements, src, dst)
+        merge_m, hops_m = ship(backend, elements, src, dst)
         merge += merge_m
         hops += hops_m
     if FAULTS.enabled:
@@ -738,6 +917,123 @@ class TestPipelinePricingMatchesExecution:
         assert pe == fast
 
 
+REFERENCES = {
+    "sample": reference_sample_forward,
+    "layer": reference_layer_forward,
+}
+
+#: ``train_cost`` over policy x NoC x K x batch x first_trainable, as
+#: recorded from the executing implementation this pricing replaced.
+TRAIN_COST_PINS = Path(__file__).parent / "data" / "sharded_train_cost_pins.json"
+
+
+class TestSampleLayerPricingMatchesExecution:
+    """The priced sample and layer plans equal the executed ones."""
+
+    @pytest.mark.parametrize("noc", ["flat", "ring", "mesh"])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("policy", ["sample", "layer"])
+    def test_cost_and_bits_match_execution(self, policy, shards, noc):
+        net = make_net()
+        backend = ShardedBackend(net, shards=shards, shard=policy, noc=noc)
+        for batch in (1, 3, 7, 16, 17, 64):
+            rng = np.random.default_rng(batch * 31 + shards)
+            states = rng.uniform(0, 1, size=(batch, 1, SIDE, SIDE))
+            ref_q, ref = REFERENCES[policy](backend, states)
+            q, cost = backend.forward_batch(states)
+            assert np.array_equal(q, ref_q), batch
+            assert_same_cost(cost, ref)
+
+    @pytest.mark.parametrize("policy", ["sample", "layer"])
+    def test_crash_failover_replan_and_chaos_extras(self, policy):
+        """Array 1 crashes mid-run while transient and straggler faults
+        fire: the replanned cost, the chaos extras and the fault ledger
+        all match the executed reference."""
+        from repro.faults import chaos, parse_fault_spec
+
+        plan = parse_fault_spec("seed=3,crash=1@2,transient=0.4,straggler=0.4")
+        net = make_net()
+        batches = [
+            np.random.default_rng(b).uniform(0, 1, size=(b, 1, SIDE, SIDE))
+            for b in (16, 7, 16, 3)
+        ]
+        runs = []
+        for forward in (REFERENCES[policy], None):
+            backend = ShardedBackend(net, shards=4, shard=policy, noc="mesh")
+            results = []
+            with chaos(plan) as inj:
+                for states in batches:
+                    inj.note_step()
+                    if forward is None:
+                        results.append(backend.forward_batch(states))
+                    else:
+                        results.append(forward(backend, states))
+                runs.append((results, inj.event_log(), sorted(inj.dead_shards)))
+        (ref_results, ref_log, ref_dead), (results, log, dead) = runs
+        assert dead == ref_dead == [1]
+        assert log == ref_log
+        kinds = {event["kind"] for event in log}
+        assert {"shard.crash", "shard.transient", "shard.straggler"} <= kinds
+        for (ref_q, ref), (q, cost) in zip(ref_results, results):
+            assert np.array_equal(q, ref_q)
+            assert_same_cost(cost, ref)
+        assert all(cost.shard_cycles[1] == 0 for _q, cost in results[1:])
+
+    def test_train_cost_matches_pins(self):
+        import json
+
+        pins = json.loads(TRAIN_COST_PINS.read_text())
+        fields, layers = pins["fields"], pins["layers"]
+        net = make_net()
+        backends = {}
+        for key, row in pins["rows"].items():
+            policy, noc, shards, batch, first = key.split("/")
+            config = (policy, noc, int(shards[1:]))
+            if config not in backends:
+                backends[config] = ShardedBackend(
+                    net, shards=config[2], shard=policy, noc=noc
+                )
+            cost = backends[config].train_cost(
+                int(batch[1:]), (1, SIDE, SIDE), first_trainable=int(first[2:])
+            )
+            expected = dict(zip(fields, row))
+            expected["shard_cycles"] = tuple(expected["shard_cycles"])
+            expected["layer_cycles"] = dict(zip(layers, expected["layer_cycles"]))
+            for name, value in expected.items():
+                assert getattr(cost, name) == value, (key, name)
+
+    @pytest.mark.parametrize("policy", ["sample", "layer"])
+    def test_float_output_is_bitwise_the_single_array(self, policy, rng):
+        net = make_net()
+        states = rng.uniform(0, 1, size=(17, 1, SIDE, SIDE))
+        ref_q, _ = SystolicBackend(net, quantized=False).forward_batch(states)
+        for shards in (2, 4):
+            q, _ = ShardedBackend(
+                net, shards=shards, shard=policy, quantized=False
+            ).forward_batch(states)
+            assert np.array_equal(q, ref_q), shards
+
+
+class TestCrashFailoverServesPublishedWeights:
+    @pytest.mark.parametrize("policy", ["sample", "layer", "pipeline"])
+    def test_failover_keeps_the_serving_snapshot(self, policy, rng):
+        """Weights trained but never published must not reach the
+        datapath when a crash fails over onto the survivors."""
+        from repro.faults.injector import FaultPlan, chaos
+
+        net = make_net()
+        backend = ShardedBackend(net, shards=4, shard=policy)
+        states = rng.uniform(0, 1, size=(8, 1, SIDE, SIDE))
+        published, _ = backend.forward_batch(states)
+        for p in net.parameters():
+            p.value = p.value + 0.05
+        with chaos(FaultPlan(seed=0, shard_crashes=((1, 2),))) as inj:
+            inj.note_step()
+            served, cost = backend.forward_batch(states)
+        assert cost.shard_cycles[2] == 0
+        assert np.array_equal(served, published)
+
+
 class TestShardEdgeCases:
     def test_zero_row_chunks_after_crash_failover(self):
         """batch=1 over K=4 with one array crashed: the three surviving
@@ -776,27 +1072,29 @@ class TestShardEdgeCases:
         backend = ShardedBackend(net, shards=8, shard="layer")
         _, cost = backend.forward_batch(states)
 
-        x = backend._requantize(np.asarray(states, dtype=np.float64))
+        requantize = backend.array._requantize
+        x = requantize(np.asarray(states, dtype=np.float64))
         expected = 0
         hub = None
         narrow_seen = False
+        plan = backend._layer_plan(tuple(range(8)))
         for index, layer in enumerate(net.layers):
-            assignments = backend._plan.get(index)
+            assignments = plan.get(index)
             if not assignments:
                 x = layer.forward(x, training=False)
             else:
-                consumers = {k for k, *_rest in assignments}
+                consumers = {k for k, _lo, _hi in assignments}
                 if len(consumers) < 8:
                     narrow_seen = True
                 if hub is not None:
                     # Hub consumes its own copy free; every other
                     # consumer's link carries the full activation once.
                     expected += len(consumers - {hub}) * x.size
-                widths = [hi - lo for _k, _s, lo, hi in assignments]
+                widths = [hi - lo for _k, lo, hi in assignments]
                 x = layer.forward(x, training=False)
                 hub = assignments[0][0]
                 expected += x.size - x.size * widths[0] // sum(widths)
-            x = backend._requantize(x)
+            x = requantize(x)
         assert narrow_seen  # FC5's 5 outputs over 8 arrays
         assert cost.merge_cycles == expected
 
@@ -807,12 +1105,12 @@ class TestShardEdgeCases:
         backend = ShardedBackend(net, shards=8, shard="layer")
         narrow = [
             assignments
-            for assignments in backend._plan.values()
+            for assignments in backend._layer_plan(tuple(range(8))).values()
             if len(assignments) < 8
         ]
         assert narrow  # FC5 is narrower than K=8
         for assignments in narrow:
-            ks = [k for k, *_rest in assignments]
+            ks = [k for k, _lo, _hi in assignments]
             assert len(set(ks)) == len(ks)
 
 
