@@ -1,11 +1,13 @@
 """Sequential network container with partial backpropagation.
 
 The paper's central algorithmic knob is training only the last ``i``
-layers online (Fig. 3b): forward propagation always traverses the whole
-network, but backpropagation stops after the last ``i`` *parametric*
-layers.  :meth:`Network.backward` implements exactly that with its
-``first_trainable`` argument, and :meth:`Network.trainable_boundary`
-translates "train the last k FC layers" into a layer index.
+layers online (Fig. 3b): backpropagation stops after the last ``i``
+*parametric* layers.  :meth:`Network.backward` implements exactly that
+with its ``first_trainable`` argument, and
+:meth:`Network.trainable_boundary` translates "train the last k FC
+layers" into a layer index.  :meth:`Network.forward` can run a slice of
+the stack, so the frozen prefix (``stop=first_trainable``) and the
+trainable tail (``start=first_trainable``) can be computed separately.
 """
 
 from __future__ import annotations
@@ -71,9 +73,20 @@ class Network:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the full forward pass."""
-        for layer in self.layers:
+    def forward(
+        self,
+        x: np.ndarray,
+        training: bool = False,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> np.ndarray:
+        """Run layers ``start`` up to (not including) ``stop``.
+
+        The default is the full forward pass.  ``stop=first_trainable``
+        gives the activations at the trainable boundary, and
+        ``start=first_trainable`` runs the trainable tail from them.
+        """
+        for layer in self.layers[start:stop]:
             x = layer.forward(x, training=training)
         return x
 

@@ -36,8 +36,6 @@ from repro.rl.evaluation import (
     evaluate_state_dict,
 )
 from repro.rl.sweep import SeedStatistics, SweepResult, run_seed_sweep
-from repro.rl.checkpoint import save_result, load_result
-from repro.rl.wrappers import FrameStack
 
 __all__ = [
     "ReplayBuffer",
@@ -61,7 +59,4 @@ __all__ = [
     "SeedStatistics",
     "SweepResult",
     "run_seed_sweep",
-    "save_result",
-    "load_result",
-    "FrameStack",
 ]

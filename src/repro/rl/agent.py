@@ -30,6 +30,7 @@ from repro.backend import (
 )
 from repro.env.episode import Transition
 from repro.faults.injector import FAULTS
+from repro.nn.layers import Dropout
 from repro.nn.losses import q_learning_loss
 from repro.nn.network import Network
 from repro.nn.optim import Optimizer, SGD
@@ -175,6 +176,17 @@ class QLearningAgent:
             network.state_dict() if target_sync_every is not None else None
         )
         self.first_trainable = config.first_trainable_layer(network)
+        prefix = network.layers[: self.first_trainable]
+        # Updates take the frozen NVM prefix's output from the replay
+        # slots' cached encodings (see _prefix_encoder).  A training-mode
+        # dropout in the prefix would draw a fresh mask every forward,
+        # so such a prefix is recomputed each update instead.
+        self._caches_prefix = bool(prefix) and not any(
+            isinstance(layer, Dropout) and layer.rate > 0.0 for layer in prefix
+        )
+        self._frozen_params = [p for layer in prefix for p in layer.parameters()]
+        # Taken when the first update fills the cache.
+        self._frozen_snapshot: list[bytes] | None = None
         self.optimizer = optimizer or SGD(
             network.parameters(self.first_trainable), lr=learning_rate, momentum=0.9
         )
@@ -431,6 +443,18 @@ class QLearningAgent:
         one forward/backward pass, matching the gradient throughput of
         ``num_envs`` independent agents at a fraction of the per-call
         overhead.  Returns the batch loss.
+
+        With a frozen prefix (L2/L3/L4), the update computes only the
+        SRAM tail.  The replay hands back each sampled slot's
+        activations at the trainable boundary, computed through the
+        prefix the first time the slot is drawn.  Both the training
+        forward and the bootstrap then start at the boundary.  The
+        prefix is row-independent at every batch of at least 2 rows,
+        and a fill always stacks a state with its next state.  So the
+        losses, targets and weights are bit for bit those of forwarding
+        the whole network every update, except at ``batch_size`` 1:
+        there the whole-network forward takes numpy's matrix-vector
+        path in the dense layers, which rounds differently.
         """
         batch_size = self.batch_size if batch_size is None else batch_size
         if batch_size <= 0:
@@ -438,14 +462,16 @@ class QLearningAgent:
         if len(self.replay) < batch_size:
             raise RuntimeError("not enough transitions to train")
         with PROBE.span("agent.train_step", batch=batch_size) as sp:
+            encode = self._prefix_encoder()
+            start = 0 if encode is None else self.first_trainable
             states, actions, rewards, next_states, dones = self.replay.sample(
-                batch_size, self.rng
+                batch_size, self.rng, encode=encode
             )
             # Bellman targets (eq. 1); terminal states contribute reward
             # only.
-            bootstrap = self._bootstrap_values(next_states)
+            bootstrap = self._bootstrap_values(next_states, start)
             targets = rewards + self.gamma * (1.0 - dones) * bootstrap
-            q_pred = self.network.forward(states, training=True)
+            q_pred = self.network.forward(states, training=True, start=start)
             loss, grad = q_learning_loss(q_pred, actions, targets)
             self.network.zero_grad()
             self.network.backward(grad, first_trainable=self.first_trainable)
@@ -463,20 +489,21 @@ class QLearningAgent:
             # update by default — the synchronous SRAM write-back).
             self.weight_bus.publish()
             if self.train_on_array:
+                state_shape = self.replay.state_shape
                 if FAULTS.enabled:
                     # A crash failover changes how many arrays the batch
                     # splits over; the geometry-keyed memo would serve a
                     # stale split, so chaos runs recompute every time.
                     cost = self.backend.train_cost(
-                        batch_size, states.shape[1:],
+                        batch_size, state_shape,
                         first_trainable=self.first_trainable,
                     )
                 else:
-                    key = (batch_size, states.shape[1:], self.first_trainable)
+                    key = (batch_size, state_shape, self.first_trainable)
                     cost = self._train_cost_cache.get(key)
                     if cost is None:
                         cost = self.backend.train_cost(
-                            batch_size, states.shape[1:],
+                            batch_size, state_shape,
                             first_trainable=self.first_trainable,
                         )
                         self._train_cost_cache[key] = cost
@@ -494,26 +521,63 @@ class QLearningAgent:
             )
         return loss
 
-    def _bootstrap_values(self, next_states: np.ndarray) -> np.ndarray:
-        """max_a' Q(s', a') under the configured bootstrap scheme."""
+    def _prefix_encoder(self):
+        """The frozen prefix's forward for the replay to cache, or None.
+
+        None means this update forwards the whole network: E2E (no
+        prefix), a prefix with dropout, or a target snapshot whose
+        prefix differs from the live one (the live prefix was written
+        since the last target sync).  The cached encodings are valid
+        only under the prefix weights they were computed with, so they
+        are dropped whenever a frozen parameter's bytes differ from those
+        of the previous update.  That covers both a rebound
+        ``Parameter.value`` (``load_state_dict``) and an in-place write.
+        """
+        if not self._caches_prefix:
+            return None
+        snapshot = self._snapshot_frozen()
+        if snapshot != self._frozen_snapshot:
+            self.replay.forget_encodings()
+            self._frozen_snapshot = snapshot
+        if self._target_state is not None and snapshot != [
+            self._target_state[p.name].tobytes() for p in self._frozen_params
+        ]:
+            return None
+        return self._encode_prefix
+
+    def _snapshot_frozen(self) -> list[bytes]:
+        """The bytes of every frozen parameter."""
+        return [p.value.tobytes() for p in self._frozen_params]
+
+    def _encode_prefix(self, states: np.ndarray) -> np.ndarray:
+        """Activations of ``states`` at the trainable boundary."""
+        return self.network.forward(states, stop=self.first_trainable)
+
+    def _bootstrap_values(self, next_states: np.ndarray, start: int = 0) -> np.ndarray:
+        """max_a' Q(s', a') under the configured bootstrap scheme.
+
+        ``next_states`` are inputs of layer ``start``; the target
+        snapshot then swaps in only the parameters from there on.
+        """
         if self._target_state is None:
-            return self.network.predict(next_states).max(axis=1)
-        target_q = self._predict_with_state(next_states, self._target_state)
+            return self.network.forward(next_states, start=start).max(axis=1)
+        target_q = self._predict_with_state(next_states, self._target_state, start)
         if not self.double_dqn:
             return target_q.max(axis=1)
-        online_actions = self.network.predict(next_states).argmax(axis=1)
+        online_actions = self.network.forward(next_states, start=start).argmax(axis=1)
         return target_q[np.arange(target_q.shape[0]), online_actions]
 
     def _predict_with_state(
-        self, states: np.ndarray, state: dict[str, np.ndarray]
+        self, states: np.ndarray, state: dict[str, np.ndarray], start: int = 0
     ) -> np.ndarray:
-        """Forward pass with a temporary weight snapshot swapped in."""
-        params = self.network.parameters()
+        """Forward pass from layer ``start`` with a temporary weight
+        snapshot swapped in."""
+        params = self.network.parameters(start)
         saved = [p.value for p in params]
         for p in params:
             p.value = state[p.name]
         try:
-            return self.network.predict(states)
+            return self.network.forward(states, start=start)
         finally:
             for p, value in zip(params, saved):
                 p.value = value
